@@ -120,9 +120,9 @@ DvsChannel::send(const router::Flit &flit, Tick earliest)
         ++*ctrFlitsSent_;
 
     // Data-dependent backends charge a per-flit energy pulse from the
-    // toggle activity between consecutive payload words.  Sends are
-    // replayed in deterministic (tick, seq) order by the partitioned
-    // stepper, so prevPayload_ — and every pulse — is engine-invariant.
+    // toggle activity between consecutive payload words.  Sends arrive
+    // in the serial router loop's deterministic order, so prevPayload_
+    // — and every pulse — is identical across runs and thread counts.
     if (chargeFlitEnergy_) {
         const std::uint64_t payload = power::flitPayloadWord(flit);
         ledger_->addFlitEnergy(
@@ -133,14 +133,14 @@ DvsChannel::send(const router::Flit &flit, Tick earliest)
 
     // Serialization (one link cycle) + fixed wire propagation.  The
     // arrival is final here; while the downstream router is awake — the
-    // sink holds items (its pending-port bit stays set) or it drained
-    // the sink this very tick — a direct push costs nothing extra.
+    // sink holds items, so its pending-port bit stays set — a direct
+    // push costs nothing extra.
     // Only a delivery whose receiver is provably idle is deferred to a
     // per-burst splice event at its arrival — that is the case where
     // an immediate push would wake the idle receiver ~a dozen cycles
     // early and make it step uselessly until the flit is due.
     const Tick arrival = departure + period_ + params_.propagationDelay;
-    if (pendingFlits_.empty() && flitSink_->ownerAwakeAt(kernel_.now())) {
+    if (pendingFlits_.empty() && !flitSink_->empty()) {
         flitSink_->push(arrival, flit);
         return departure;
     }
@@ -164,12 +164,11 @@ DvsChannel::sendCredit(VcId vc, Tick now)
     const Tick arrival = std::max(now, disabledUntil_) + period_ +
                          params_.propagationDelay;
     // Same policy as flits — direct push while the receiver is already
-    // awake (sink non-empty or drained this tick), one splice event
-    // per batch otherwise — plus a near-arrival shortcut: a credit due
-    // within the horizon is cheaper to deliver eagerly than to
-    // schedule an event for.
+    // awake (sink non-empty), one splice event per batch otherwise —
+    // plus a near-arrival shortcut: a credit due within the horizon is
+    // cheaper to deliver eagerly than to schedule an event for.
     if (pendingCredits_.empty() &&
-        (creditSink_->ownerAwakeAt(now) ||
+        (!creditSink_->empty() ||
          arrival <= now + params_.creditDirectPushHorizon)) {
         creditSink_->push(arrival, vc);
         return;

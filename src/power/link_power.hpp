@@ -29,10 +29,10 @@
  * Determinism contract: synthetic traffic carries no payload bytes, so
  * per-flit activity is derived from `flitPayloadWord` — a splitmix64
  * hash of the flit's identity (packet id, sequence number), which the
- * simulator assigns deterministically.  Channel sends are replayed in
- * serial (tick, seq) order by the partitioned stepper, so per-flit
- * charges are bit-identical across `--partitions` and `--threads`
- * (DESIGN.md "Link power backends").
+ * simulator assigns deterministically.  Each run steps its routers
+ * serially in ascending id order, so every channel sees its sends in
+ * one fixed order and per-flit charges are bit-identical across
+ * `--threads` (DESIGN.md "Link power backends").
  */
 
 #pragma once
@@ -99,8 +99,8 @@ class LinkPowerModel
  * Deterministic payload word for a flit: synthetic traffic carries no
  * data bytes, so activity is derived from a splitmix64 hash of the
  * flit's identity.  Packet ids and sequence numbers are assigned
- * identically by the serial and partitioned steppers, so the word — and
- * every energy pulse derived from it — is engine-invariant.
+ * deterministically per run, so the word — and every energy pulse
+ * derived from it — repeats exactly for a given seed.
  */
 std::uint64_t flitPayloadWord(const router::Flit &flit);
 

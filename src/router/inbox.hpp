@@ -103,37 +103,12 @@ class Inbox
     pop(Tick now)
     {
         DVSNET_ASSERT(ready(now), "inbox pop with nothing ready");
-        lastPopTick_ = now;
         T item = queue_[head_].item;
         if (++head_ == queue_.size()) {
             queue_.clear();
             head_ = 0;
         }
         return item;
-    }
-
-    /**
-     * True if the owning router is provably awake at `now`: either the
-     * inbox still holds items (so the owner's pending-port bit is set),
-     * or the owner popped from this inbox this very tick (it is
-     * mid-step, or stepped earlier in the same cycle).
-     *
-     * Link batching consults this — not raw empty() — when deciding
-     * between a direct push and a deferred splice event.  Counting
-     * same-tick pops back in matters for the partitioned stepper
-     * (DESIGN.md, "Partitioned stepping"): serially a sender with a
-     * lower id than the receiver probes the inbox *before* the
-     * receiver's same-cycle drain, while the parallel engine replays
-     * the probe *after* the compute-phase drain.  Since exactly one
-     * link feeds each inbox, the two states differ only by those
-     * same-tick pops, so this predicate evaluates identically at both
-     * sites — keeping burst/step/wake counters bit-equal across
-     * engines.
-     */
-    bool
-    ownerAwakeAt(Tick now) const
-    {
-        return !empty() || lastPopTick_ == now;
     }
 
     /** Items in flight (arrived or not). */
@@ -151,7 +126,6 @@ class Inbox
   private:
     std::vector<Slot> queue_;  ///< [head_, size) = pending items
     std::size_t head_ = 0;     ///< drain cursor, reset on full drain
-    Tick lastPopTick_ = kTickNever;  ///< tick of the most recent pop
     InlineFn wake_;  ///< optional push notification (activity gating)
 };
 

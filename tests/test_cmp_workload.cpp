@@ -26,6 +26,7 @@ using dvsnet::network::ExperimentSpec;
 using dvsnet::network::Network;
 using dvsnet::network::NetworkConfig;
 using dvsnet::network::PolicyKind;
+using dvsnet::network::RoutingKind;
 using dvsnet::network::RunResults;
 using dvsnet::topo::KAryNCube;
 using dvsnet::workload::CmpParams;
@@ -124,37 +125,54 @@ TEST(CmpWorkload, HotSkewConcentratesHomes)
 
 TEST(CmpWorkload, ClosedLoopRunRespectsWindowAndCausality)
 {
-    NetworkConfig cfg;
-    cfg.radix = 4;
-    cfg.policy = PolicyKind::None;
-    Network net(cfg);
+    // Replies are injected from the delivery hook, so the second input
+    // (DVS + minimal-adaptive routing) checks the closed loop against
+    // reordered deliveries and link transitions as well.
+    struct Case
+    {
+        PolicyKind policy;
+        RoutingKind routing;
+    };
+    for (const Case c : {Case{PolicyKind::None, RoutingKind::Dor},
+                         Case{PolicyKind::History,
+                              RoutingKind::MinimalAdaptive}}) {
+        SCOPED_TRACE(testing::Message()
+                     << "policy=" << dvsnet::network::policyKindName(c.policy)
+                     << " routing="
+                     << dvsnet::network::routingKindName(c.routing));
+        NetworkConfig cfg;
+        cfg.radix = 4;
+        cfg.policy = c.policy;
+        cfg.routing = c.routing;
+        Network net(cfg);
 
-    CmpParams p = validParams();
-    p.window = 2;
-    p.packetRate = 4.0;  // well past what the window admits
-    CmpWorkload workload(net.topology(), p);
-    net.attachTraffic(workload);
-    net.run(1000, 5000);
+        CmpParams p = validParams();
+        p.window = 2;
+        p.packetRate = 4.0;  // well past what the window admits
+        CmpWorkload workload(net.topology(), p);
+        net.attachTraffic(workload);
+        EXPECT_EQ(net.run(1000, 5000).invariantFailures, 0u);
 
-    const auto &stats = workload.stats();
-    EXPECT_GT(stats.transactionsIssued, 0u);
-    EXPECT_GT(stats.transactionsCompleted, 0u);
-    // Causality: replies only follow delivered requests, completions
-    // only follow injected replies.
-    EXPECT_LE(stats.requestsDelivered, stats.transactionsIssued);
-    EXPECT_LE(stats.repliesInjected, stats.requestsDelivered);
-    EXPECT_LE(stats.transactionsCompleted, stats.repliesInjected);
-    // Saturated demand must have queued behind the window.
-    EXPECT_GT(stats.demandQueued, 0u);
-    // The window bounds in-flight transactions per core at all times,
-    // so it also bounds them at the end of the run.
-    for (NodeId node = 0; node < net.topology().numNodes(); ++node) {
-        EXPECT_GE(workload.outstanding(node), 0);
-        EXPECT_LE(workload.outstanding(node), p.window);
+        const auto &stats = workload.stats();
+        EXPECT_GT(stats.transactionsIssued, 0u);
+        EXPECT_GT(stats.transactionsCompleted, 0u);
+        // Causality: replies only follow delivered requests,
+        // completions only follow injected replies.
+        EXPECT_LE(stats.requestsDelivered, stats.transactionsIssued);
+        EXPECT_LE(stats.repliesInjected, stats.requestsDelivered);
+        EXPECT_LE(stats.transactionsCompleted, stats.repliesInjected);
+        // Saturated demand must have queued behind the window.
+        EXPECT_GT(stats.demandQueued, 0u);
+        // The window bounds in-flight transactions per core at all
+        // times, so it also bounds them at the end of the run.
+        for (NodeId node = 0; node < net.topology().numNodes(); ++node) {
+            EXPECT_GE(workload.outstanding(node), 0);
+            EXPECT_LE(workload.outstanding(node), p.window);
+        }
+        EXPECT_EQ(workload.roundTripCycles().count(),
+                  stats.transactionsCompleted);
+        EXPECT_GT(workload.roundTripCycles().mean(), 0.0);
     }
-    EXPECT_EQ(workload.roundTripCycles().count(),
-              stats.transactionsCompleted);
-    EXPECT_GT(workload.roundTripCycles().mean(), 0.0);
 }
 
 /**

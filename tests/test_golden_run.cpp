@@ -12,11 +12,6 @@
  * the pinned numbers; intentional changes must update the pins (and say
  * so in the commit).
  *
- * Every pinned point runs at partitions 1, 2 and 4 against the same
- * pins: the partitioned stepper replays the serial execution order
- * exactly (DESIGN.md "Partitioned stepping"), so a single set of
- * frozen numbers locks down both the serial and the parallel engines.
- *
  * The pinned values were captured from the run itself (see the spec
  * below); tolerances are 1e-9 relative, far tighter than any
  * legitimate nondeterminism and far looser than double round-trip.
@@ -38,9 +33,6 @@ namespace
 {
 
 constexpr std::uint64_t kGoldenSeed = 424242;
-
-/** Partition counts every pinned point is verified at. */
-constexpr std::int32_t kPartitionCounts[] = {1, 2, 4};
 
 /** The golden configuration: small enough to run in ~a second. */
 ExperimentSpec
@@ -88,54 +80,38 @@ expectNearRel(double actual, double expected, const char *what)
         << what;
 }
 
-/** Run `spec` once per tested partition count and hand each result to
- *  the caller's pinned assertions. */
-template <typename AssertFn>
-void
-forEachPartitionCount(ExperimentSpec spec, double rate, AssertFn &&verify)
-{
-    for (const std::int32_t partitions : kPartitionCounts) {
-        SCOPED_TRACE(testing::Message() << "partitions=" << partitions);
-        spec.network.partitions = partitions;
-        verify(dvsnet::exp::runPoint(spec, rate, kGoldenSeed));
-    }
-}
-
 } // namespace
 
 TEST(GoldenRun, HistoryDvs4x4MeshPinnedResults)
 {
-    forEachPartitionCount(
-        goldenSpec(PolicyKind::History), kInjectionRate,
-        [](const RunResults &r) {
-            // Exact integer pins: any change in packet behavior trips
-            // these.
-            EXPECT_EQ(r.measuredCycles, 12000u);
-            EXPECT_EQ(r.packetsCreated, 3851u);
-            EXPECT_EQ(r.packetsDelivered, 3839u);
-            EXPECT_EQ(r.flitsEjected, 19279u);
+    const RunResults r = dvsnet::exp::runPoint(
+        goldenSpec(PolicyKind::History), kInjectionRate, kGoldenSeed);
+    // Exact integer pins: any change in packet behavior trips these.
+    EXPECT_EQ(r.measuredCycles, 12000u);
+    EXPECT_EQ(r.packetsCreated, 3851u);
+    EXPECT_EQ(r.packetsDelivered, 3839u);
+    EXPECT_EQ(r.flitsEjected, 19279u);
 
-            // Derived metrics, pinned to 1e-9 relative.
-            expectNearRel(r.offeredLoadPktsPerCycle, 0.32091666666666668,
-                          "offered load");
-            expectNearRel(r.throughputPktsPerCycle, 0.32133333333333336,
-                          "throughput pkts");
-            expectNearRel(r.throughputFlitsPerCycle, 1.6065833333333333,
-                          "throughput flits");
-            expectNearRel(r.avgLatencyCycles, 83.753739255014395,
-                          "avg latency");
-            expectNearRel(r.maxLatencyCycles, 582.985, "max latency");
-            expectNearRel(r.normalizedPower, 0.62777218491412523,
-                          "normalized power");
-            expectNearRel(r.savingsFactor, 1.592934545414421,
-                          "savings factor");
-            expectNearRel(r.avgChannelLevel, 1.7916666666666667,
-                          "avg channel level");
+    // Derived metrics, pinned to 1e-9 relative.
+    expectNearRel(r.offeredLoadPktsPerCycle, 0.32091666666666668,
+                  "offered load");
+    expectNearRel(r.throughputPktsPerCycle, 0.32133333333333336,
+                  "throughput pkts");
+    expectNearRel(r.throughputFlitsPerCycle, 1.6065833333333333,
+                  "throughput flits");
+    expectNearRel(r.avgLatencyCycles, 83.753739255014395,
+                  "avg latency");
+    expectNearRel(r.maxLatencyCycles, 582.985, "max latency");
+    expectNearRel(r.normalizedPower, 0.62777218491412523,
+                  "normalized power");
+    expectNearRel(r.savingsFactor, 1.592934545414421,
+                  "savings factor");
+    expectNearRel(r.avgChannelLevel, 1.7916666666666667,
+                  "avg channel level");
 
-            // The invariants must actually have run, and cleanly.
-            EXPECT_GT(r.invariantChecks, 0u);
-            EXPECT_EQ(r.invariantFailures, 0u);
-        });
+    // The invariants must actually have run, and cleanly.
+    EXPECT_GT(r.invariantChecks, 0u);
+    EXPECT_EQ(r.invariantFailures, 0u);
 }
 
 TEST(GoldenRun, HistoryDvs4x4MeshToggleBackendPinnedResults)
@@ -144,90 +120,84 @@ TEST(GoldenRun, HistoryDvs4x4MeshToggleBackendPinnedResults)
     // the data-dependent toggle link-power backend.  The packet-level
     // pins must match the table-backend run exactly — the backend only
     // changes energy accounting, never traffic — while the power pins
-    // capture the payload-hash-driven per-flit charges.  Pinned across
-    // partitions 1/2/4 like every golden: the per-flit deposits happen
-    // inside the deferred-op replay, so they are bit-reproducible.
+    // capture the payload-hash-driven per-flit charges.
     ExperimentSpec spec = goldenSpec(PolicyKind::History);
     spec.network.linkPowerSpec = "toggle";
-    forEachPartitionCount(spec, kInjectionRate, [](const RunResults &r) {
-        EXPECT_EQ(r.measuredCycles, 12000u);
-        EXPECT_EQ(r.packetsCreated, 3851u);
-        EXPECT_EQ(r.packetsDelivered, 3839u);
-        EXPECT_EQ(r.flitsEjected, 19279u);
-        expectNearRel(r.avgLatencyCycles, 83.753739255014395,
-                      "avg latency");
+    const RunResults r =
+        dvsnet::exp::runPoint(spec, kInjectionRate, kGoldenSeed);
+    EXPECT_EQ(r.measuredCycles, 12000u);
+    EXPECT_EQ(r.packetsCreated, 3851u);
+    EXPECT_EQ(r.packetsDelivered, 3839u);
+    EXPECT_EQ(r.flitsEjected, 19279u);
+    expectNearRel(r.avgLatencyCycles, 83.753739255014395,
+                  "avg latency");
 
-        expectNearRel(r.avgPowerW, 31.296137848464241, "avg power");
-        expectNearRel(r.normalizedPower, 0.4075017949018781,
-                      "normalized power");
-        expectNearRel(r.transitionEnergyJ, 2.9762115693893932e-05,
-                      "transition energy");
-        expectNearRel(r.flitEnergyJ, 2.371328696388553e-05,
-                      "flit energy");
-        expectNearRel(r.totalEnergyJ, 0.00037555365418157093,
-                      "total energy");
+    expectNearRel(r.avgPowerW, 31.296137848464241, "avg power");
+    expectNearRel(r.normalizedPower, 0.4075017949018781,
+                  "normalized power");
+    expectNearRel(r.transitionEnergyJ, 2.9762115693893932e-05,
+                  "transition energy");
+    expectNearRel(r.flitEnergyJ, 2.371328696388553e-05,
+                  "flit energy");
+    expectNearRel(r.totalEnergyJ, 0.00037555365418157093,
+                  "total energy");
 
-        EXPECT_GT(r.invariantChecks, 0u);
-        EXPECT_EQ(r.invariantFailures, 0u);
-    });
+    EXPECT_GT(r.invariantChecks, 0u);
+    EXPECT_EQ(r.invariantFailures, 0u);
 }
 
 TEST(GoldenRun, NoDvs4x4MeshPinnedReferencePoint)
 {
-    forEachPartitionCount(
-        goldenSpec(PolicyKind::None), kInjectionRate,
-        [](const RunResults &r) {
-            EXPECT_EQ(r.measuredCycles, 12000u);
-            EXPECT_EQ(r.packetsCreated, 3851u);
-            EXPECT_EQ(r.packetsDelivered, 3840u);
-            EXPECT_EQ(r.flitsEjected, 19273u);
-            expectNearRel(r.avgLatencyCycles, 52.249997656249931,
-                          "avg latency");
-            // No DVS: links pinned at the fastest level, no savings.
-            expectNearRel(r.normalizedPower, 1.0, "normalized power");
-            expectNearRel(r.avgChannelLevel, 0.0, "avg channel level");
-            EXPECT_EQ(r.transitionEnergyJ, 0.0);
-            EXPECT_GT(r.invariantChecks, 0u);
-            EXPECT_EQ(r.invariantFailures, 0u);
-        });
+    const RunResults r = dvsnet::exp::runPoint(
+        goldenSpec(PolicyKind::None), kInjectionRate, kGoldenSeed);
+    EXPECT_EQ(r.measuredCycles, 12000u);
+    EXPECT_EQ(r.packetsCreated, 3851u);
+    EXPECT_EQ(r.packetsDelivered, 3840u);
+    EXPECT_EQ(r.flitsEjected, 19273u);
+    expectNearRel(r.avgLatencyCycles, 52.249997656249931,
+                  "avg latency");
+    // No DVS: links pinned at the fastest level, no savings.
+    expectNearRel(r.normalizedPower, 1.0, "normalized power");
+    expectNearRel(r.avgChannelLevel, 0.0, "avg channel level");
+    EXPECT_EQ(r.transitionEnergyJ, 0.0);
+    EXPECT_GT(r.invariantChecks, 0u);
+    EXPECT_EQ(r.invariantFailures, 0u);
 }
 
 TEST(GoldenRun, AdaptiveDynamicThresholdNearSaturationPinnedResults)
 {
-    forEachPartitionCount(
-        adaptiveSaturationSpec(), kSaturationRate,
-        [](const RunResults &r) {
-            // Exact integer pins.  packetsDelivered << packetsCreated
-            // is the point: the run is past the latency knee, so the
-            // congestion machinery (credit stalls, adaptive misroutes,
-            // source-queue backlog) is actually exercised.
-            EXPECT_EQ(r.measuredCycles, 12000u);
-            EXPECT_EQ(r.packetsCreated, 9829u);
-            EXPECT_EQ(r.packetsDelivered, 7037u);
-            EXPECT_EQ(r.flitsEjected, 39104u);
+    const RunResults r = dvsnet::exp::runPoint(
+        adaptiveSaturationSpec(), kSaturationRate, kGoldenSeed);
+    // Exact integer pins.  packetsDelivered << packetsCreated is the
+    // point: the run is past the latency knee, so the congestion
+    // machinery (credit stalls, adaptive misroutes, source-queue
+    // backlog) is actually exercised.
+    EXPECT_EQ(r.measuredCycles, 12000u);
+    EXPECT_EQ(r.packetsCreated, 9829u);
+    EXPECT_EQ(r.packetsDelivered, 7037u);
+    EXPECT_EQ(r.flitsEjected, 39104u);
 
-            expectNearRel(r.offeredLoadPktsPerCycle, 0.81908333333333339,
-                          "offered load");
-            expectNearRel(r.throughputPktsPerCycle, 0.65166666666666662,
-                          "throughput pkts");
-            expectNearRel(r.throughputFlitsPerCycle, 3.2586666666666666,
-                          "throughput flits");
-            expectNearRel(r.avgLatencyCycles, 888.49777859883375,
-                          "avg latency");
-            expectNearRel(r.maxLatencyCycles, 10378.069, "max latency");
-            expectNearRel(r.avgPowerW, 49.060504591617971, "avg power");
-            expectNearRel(r.normalizedPower, 0.63880865353669225,
-                          "normalized power");
-            expectNearRel(r.savingsFactor, 1.5654139850229212,
-                          "savings factor");
-            expectNearRel(r.transitionEnergyJ, 3.0324467491091963e-05,
-                          "transition energy");
-            expectNearRel(r.avgChannelLevel, 1.7083333333333333,
-                          "avg channel level");
+    expectNearRel(r.offeredLoadPktsPerCycle, 0.81908333333333339,
+                  "offered load");
+    expectNearRel(r.throughputPktsPerCycle, 0.65166666666666662,
+                  "throughput pkts");
+    expectNearRel(r.throughputFlitsPerCycle, 3.2586666666666666,
+                  "throughput flits");
+    expectNearRel(r.avgLatencyCycles, 888.49777859883375,
+                  "avg latency");
+    expectNearRel(r.maxLatencyCycles, 10378.069, "max latency");
+    expectNearRel(r.avgPowerW, 49.060504591617971, "avg power");
+    expectNearRel(r.normalizedPower, 0.63880865353669225,
+                  "normalized power");
+    expectNearRel(r.savingsFactor, 1.5654139850229212,
+                  "savings factor");
+    expectNearRel(r.transitionEnergyJ, 3.0324467491091963e-05,
+                  "transition energy");
+    expectNearRel(r.avgChannelLevel, 1.7083333333333333,
+                  "avg channel level");
 
-            EXPECT_GT(r.invariantChecks, 0u);
-            EXPECT_EQ(r.invariantFailures, 0u);
-        });
+    EXPECT_GT(r.invariantChecks, 0u);
+    EXPECT_EQ(r.invariantFailures, 0u);
 }
 
 TEST(GoldenRun, NamedInvariantsAllExercised)

@@ -45,18 +45,27 @@ TEST(Network, GeometryMatchesTopology)
 
 TEST(Network, DeliversEveryPacketAtLowLoad)
 {
-    Network net(smallConfig());
-    PatternTraffic traffic(net.topology(), Pattern::UniformRandom, 0.005,
-                           1);
-    net.attachTraffic(traffic);
-    const RunResults res = net.run(2000, 30000);
-    EXPECT_GT(res.packetsCreated, 500u);
-    // Allow the tail still in flight at the horizon.
-    EXPECT_GE(res.packetsDelivered + 20, res.packetsCreated);
-    // Drain window: the generator keeps injecting, so a handful of
-    // freshly created packets may be in flight, but nothing older.
-    net.runUntilCycle(net.currentCycle() + 2000);
-    EXPECT_LE(net.metrics().inFlight(), 10u);
+    // The 4x4 mesh, then a 2x2x2 cube (three dimensions, every router
+    // on the boundary).
+    NetworkConfig cube = smallConfig();
+    cube.radix = 2;
+    cube.dims = 3;
+    for (const NetworkConfig &cfg : {smallConfig(), cube}) {
+        SCOPED_TRACE(testing::Message() << "dims=" << cfg.dims);
+        Network net(cfg);
+        PatternTraffic traffic(net.topology(), Pattern::UniformRandom,
+                               0.005, 1);
+        net.attachTraffic(traffic);
+        const RunResults res = net.run(2000, 30000);
+        EXPECT_GT(res.packetsCreated, 500u);
+        // Allow the tail still in flight at the horizon.
+        EXPECT_GE(res.packetsDelivered + 20, res.packetsCreated);
+        EXPECT_EQ(res.invariantFailures, 0u);
+        // Drain window: the generator keeps injecting, so a handful of
+        // freshly created packets may be in flight, but nothing older.
+        net.runUntilCycle(net.currentCycle() + 2000);
+        EXPECT_LE(net.metrics().inFlight(), 10u);
+    }
 }
 
 TEST(Network, ZeroLoadLatencyMatchesPipelineModel)
@@ -163,15 +172,24 @@ TEST(Network, StaticLevelPolicyDrivesAllLinks)
 TEST(Network, CongestionDegradesGracefully)
 {
     // Offered load far beyond capacity: throughput saturates below the
-    // offered rate, latency explodes, nothing crashes or is lost.
-    Network net(smallConfig(PolicyKind::None));
-    PatternTraffic traffic(net.topology(), Pattern::UniformRandom, 0.2,
-                           7);
-    net.attachTraffic(traffic);
-    const RunResults res = net.run(5000, 30000);
-    EXPECT_LT(res.throughputPktsPerCycle,
-              res.offeredLoadPktsPerCycle * 0.8);
-    EXPECT_GT(res.avgLatencyCycles, 100.0);
+    // offered rate, latency explodes, nothing crashes or is lost.  The
+    // second input adds torus wraparound and the self-tuning dynamic
+    // threshold policy, so DVS transitions run under full backpressure.
+    NetworkConfig torus = smallConfig(PolicyKind::DynamicThreshold);
+    torus.torus = true;
+    for (const NetworkConfig &cfg :
+         {smallConfig(PolicyKind::None), torus}) {
+        SCOPED_TRACE(testing::Message() << "torus=" << cfg.torus);
+        Network net(cfg);
+        PatternTraffic traffic(net.topology(), Pattern::UniformRandom,
+                               0.2, 7);
+        net.attachTraffic(traffic);
+        const RunResults res = net.run(5000, 30000);
+        EXPECT_LT(res.throughputPktsPerCycle,
+                  res.offeredLoadPktsPerCycle * 0.8);
+        EXPECT_GT(res.avgLatencyCycles, 100.0);
+        EXPECT_EQ(res.invariantFailures, 0u);
+    }
 }
 
 TEST(Network, DeterministicUnderSeed)

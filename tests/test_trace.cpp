@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
+#include <string>
 
 #include "network/network.hpp"
 #include "traffic/pattern_traffic.hpp"
 #include "traffic/trace.hpp"
+#include "workload/trace_binary.hpp"
 
 using dvsnet::NodeId;
 using dvsnet::Tick;
@@ -204,14 +207,30 @@ TEST(TraceReplay, DrivesANetwork)
                      100 * (k + 1))),
                  static_cast<NodeId>(k % 15), static_cast<NodeId>(k % 15 + 1));
 
-    NetworkConfig cfg;
-    cfg.radix = 4;
-    cfg.policy = PolicyKind::None;
-    Network net(cfg);
-    TraceTraffic replay(t);
-    net.attachTraffic(replay);
-    net.run(100, 10000);
-    EXPECT_EQ(net.metrics().packetsEjected(), 50u);
+    const std::string binaryPath =
+        ::testing::TempDir() + "/dvsnet_trace_drives_network.dvst";
+    dvsnet::workload::saveBinaryTrace(t, binaryPath, 16);
+
+    // The in-memory replay on a plain network, then the same trace
+    // streamed from a .dvst file under history DVS.
+    for (const bool binary : {false, true}) {
+        SCOPED_TRACE(binary ? "binary replay, history DVS"
+                            : "in-memory replay, no DVS");
+        NetworkConfig cfg;
+        cfg.radix = 4;
+        cfg.policy = binary ? PolicyKind::History : PolicyKind::None;
+        Network net(cfg);
+        std::unique_ptr<dvsnet::traffic::TrafficGenerator> replay;
+        if (binary)
+            replay = std::make_unique<dvsnet::workload::BinaryTraceReplay>(
+                binaryPath);
+        else
+            replay = std::make_unique<TraceTraffic>(t);
+        net.attachTraffic(*replay);
+        EXPECT_EQ(net.run(100, 10000).invariantFailures, 0u);
+        EXPECT_EQ(net.metrics().packetsEjected(), 50u);
+    }
+    std::remove(binaryPath.c_str());
 }
 
 TEST(TraceReplay, EmptyTraceIsANoOp)
