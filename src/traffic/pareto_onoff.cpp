@@ -17,7 +17,6 @@ OnOffSourceBank::OnOffSourceBank(sim::Kernel &kernel,
       params_(params),
       rng_(rng),
       emit_(std::move(emit)),
-      epoch_(static_cast<std::size_t>(numSources), 0),
       onUntil_(static_cast<std::size_t>(numSources), 0)
 {
     DVSNET_ASSERT(numSources > 0, "need at least one source");
@@ -55,18 +54,16 @@ OnOffSourceBank::toggle(std::int32_t source, bool nowOn)
 {
     if (stopped_)
         return;
-    const auto idx = static_cast<std::size_t>(source);
-    ++epoch_[idx];
-
     if (nowOn) {
         const double lenCycles = rng_.pareto(onLocation_, params_.onShape);
         const Tick len = cyclesToGap(lenCycles);
-        onUntil_[idx] = kernel_.now() + len;
+        onUntil_[static_cast<std::size_t>(source)] = kernel_.now() + len;
 
-        // First emission of this ON period.
-        const std::uint32_t ep = epoch_[idx];
-        kernel_.after(cyclesToGap(rng_.exponential(1.0 / onRate_)),
-                      [this, source, ep] { emitLoop(source, ep); });
+        // First emission of this ON period.  At gap == len it still
+        // fires: it is scheduled before the toggle-off, so it runs first.
+        const Tick gap = cyclesToGap(rng_.exponential(1.0 / onRate_));
+        if (gap <= len)
+            kernel_.after(gap, [this, source] { emitLoop(source); });
         kernel_.after(len, [this, source] { toggle(source, false); });
     } else {
         const double lenCycles =
@@ -77,18 +74,20 @@ OnOffSourceBank::toggle(std::int32_t source, bool nowOn)
 }
 
 void
-OnOffSourceBank::emitLoop(std::int32_t source, std::uint32_t onEpoch)
+OnOffSourceBank::emitLoop(std::int32_t source)
 {
     if (stopped_)
         return;
-    const auto idx = static_cast<std::size_t>(source);
-    if (epoch_[idx] != onEpoch || kernel_.now() > onUntil_[idx])
-        return;
+    const Tick onUntil = onUntil_[static_cast<std::size_t>(source)];
+    DVSNET_ASSERT(kernel_.now() <= onUntil,
+                  "emission after its ON period ended");
 
     emit_();
     ++emitted_;
-    kernel_.after(cyclesToGap(rng_.exponential(1.0 / onRate_)),
-                  [this, source, onEpoch] { emitLoop(source, onEpoch); });
+    // At now + gap == onUntil the earlier-scheduled toggle-off runs first.
+    const Tick gap = cyclesToGap(rng_.exponential(1.0 / onRate_));
+    if (kernel_.now() + gap < onUntil)
+        kernel_.after(gap, [this, source] { emitLoop(source); });
 }
 
 } // namespace dvsnet::traffic

@@ -48,8 +48,10 @@ struct OnOffParams
  * expectation: each source's ON-state Poisson rate is
  * aggregateRate / (numSources * dutyCycle).
  *
- * The bank can be stopped (task completion in the two-level model); any
- * in-flight events then expire silently.
+ * An emission is scheduled only if it lands inside its source's current
+ * ON period, so each source has at most one pending emission and every
+ * emission event emits.  The bank can be stopped (task completion in the
+ * two-level model); any in-flight events then expire silently.
  */
 class OnOffSourceBank
 {
@@ -85,7 +87,7 @@ class OnOffSourceBank
 
   private:
     void toggle(std::int32_t source, bool nowOn);
-    void emitLoop(std::int32_t source, std::uint32_t onEpoch);
+    void emitLoop(std::int32_t source);
     Tick cyclesToGap(double cycles) const;
 
     sim::Kernel &kernel_;
@@ -99,11 +101,6 @@ class OnOffSourceBank
     bool stopped_ = false;
     std::uint64_t emitted_ = 0;
 
-    /** Per-source ON epoch: bumped on every toggle so stale emission
-     *  events from a previous ON period self-cancel.  32 bits so a
-     *  (source, epoch) pair fits one word of an InlineFn capture; a
-     *  source would need 4 billion toggles to wrap. */
-    std::vector<std::uint32_t> epoch_;
     std::vector<Tick> onUntil_;  ///< end tick of the current ON period
 };
 

@@ -1,28 +1,77 @@
 #include "traffic/task_model.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/fatal.hpp"
 
 namespace dvsnet::traffic
 {
 
+std::vector<std::string>
+TwoLevelParams::validate() const
+{
+    std::vector<std::string> problems;
+    auto complain = [&problems](auto &&...parts) {
+        problems.push_back(detail::concat(parts...));
+    };
+    // Every check is written so that NaN fails it.
+    auto inRange = [](double v, double lo, double hi) {
+        return v >= lo && v <= hi;
+    };
+    if (!inRange(avgConcurrentTasks, 1.0, kMaxConcurrentTasks)) {
+        complain("workload.avgConcurrentTasks must be in [1, ",
+                 kMaxConcurrentTasks, "] (got ", avgConcurrentTasks, ")");
+    }
+    if (!inRange(meanTaskDurationCycles, 1.0, kMaxTaskDurationCycles)) {
+        complain("workload.meanTaskDurationCycles must be in [1, ",
+                 kMaxTaskDurationCycles, "] (got ", meanTaskDurationCycles,
+                 ")");
+    }
+    if (!(std::isfinite(networkInjectionRate) && networkInjectionRate > 0)) {
+        complain("workload.networkInjectionRate must be positive and "
+                 "finite (got ", networkInjectionRate, ")");
+    }
+    if (!(durationSpread >= 0 && durationSpread < 1)) {
+        complain("workload.durationSpread must be in [0, 1) (got ",
+                 durationSpread, ")");
+    }
+    if (!(rateSpread >= 0 && rateSpread < 1)) {
+        complain("workload.rateSpread must be in [0, 1) (got ", rateSpread,
+                 ")");
+    }
+    if (!inRange(pLocal, 0.0, 1.0))
+        complain("workload.pLocal must be in [0, 1] (got ", pLocal, ")");
+    if (localityRadius < 1) {
+        complain("workload.localityRadius must be >= 1 hop (got ",
+                 localityRadius, ")");
+    }
+    if (sourcesPerTask < 1) {
+        complain("workload.sourcesPerTask must be >= 1 (got ",
+                 sourcesPerTask, ")");
+    }
+    if (!(std::isfinite(onOff.onShape) && onOff.onShape > 1 &&
+          std::isfinite(onOff.offShape) && onOff.offShape > 1)) {
+        complain("workload.onOff shapes must be finite and > 1 (got ",
+                 onOff.onShape, ", ", onOff.offShape, ")");
+    }
+    if (!(std::isfinite(onOff.meanOnCycles) && onOff.meanOnCycles > 0 &&
+          std::isfinite(onOff.meanOffCycles) && onOff.meanOffCycles > 0)) {
+        complain("workload.onOff means must be positive and finite (got ",
+                 onOff.meanOnCycles, ", ", onOff.meanOffCycles, ")");
+    }
+    return problems;
+}
+
 TwoLevelWorkload::TwoLevelWorkload(const topo::KAryNCube &topo,
                                    const TwoLevelParams &params)
     : topo_(topo), params_(params), rng_(params.seed)
 {
-    DVSNET_ASSERT(params.avgConcurrentTasks > 0,
-                  "need a positive task concurrency");
-    DVSNET_ASSERT(params.meanTaskDurationCycles > 0,
-                  "need a positive task duration");
-    DVSNET_ASSERT(params.networkInjectionRate > 0,
-                  "need a positive injection rate");
-    DVSNET_ASSERT(params.durationSpread >= 0 && params.durationSpread < 1,
-                  "duration spread must be in [0, 1)");
-    DVSNET_ASSERT(params.rateSpread >= 0 && params.rateSpread < 1,
-                  "rate spread must be in [0, 1)");
-    DVSNET_ASSERT(params.pLocal >= 0 && params.pLocal <= 1,
-                  "pLocal must be a probability");
+    const auto problems = params.validate();
+    if (!problems.empty()) {
+        throw ConfigError(
+            joinProblems("invalid two-level workload", problems));
+    }
 
     spheres_.resize(static_cast<std::size_t>(topo.numNodes()));
     for (NodeId n = 0; n < topo.numNodes(); ++n) {

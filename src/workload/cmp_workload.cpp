@@ -1,6 +1,7 @@
 #include "workload/cmp_workload.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/fatal.hpp"
 
@@ -24,12 +25,15 @@ CmpParams::validate() const
     }
     if (hotNodes < 0)
         complain("cmp.hotNodes must be >= 0 (got ", hotNodes, ")");
-    if (pHot < 0.0 || pHot > 1.0)
+    // Written so that NaN fails each check.
+    if (!(pHot >= 0.0 && pHot <= 1.0))
         complain("cmp.pHot must be in [0, 1] (got ", pHot, ")");
     if (hotNodes == 0 && pHot > 0.0)
         complain("cmp.pHot > 0 requires a nonzero hot set (hotNodes)");
-    if (!(packetRate > 0.0))
-        complain("cmp.packetRate must be positive (got ", packetRate, ")");
+    if (!(std::isfinite(packetRate) && packetRate > 0.0)) {
+        complain("cmp.packetRate must be positive and finite (got ",
+                 packetRate, ")");
+    }
     return problems;
 }
 

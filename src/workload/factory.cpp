@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <charconv>
+#include <limits>
+#include <utility>
 
 #include "common/fatal.hpp"
 #include "traffic/pattern_traffic.hpp"
@@ -29,18 +31,29 @@ parseDouble(const std::string &key, const std::string &value)
     return out;
 }
 
-std::int64_t
+/** Parse an integer key into T, rejecting values T cannot hold. */
+template <typename T>
+T
 parseInt(const std::string &key, const std::string &value)
 {
     std::int64_t out = 0;
     const char *end = value.data() + value.size();
     auto [ptr, ec] = std::from_chars(value.data(), end, out);
-    if (ec != std::errc{} || ptr != end) {
+    if (ec == std::errc::invalid_argument || ptr != end) {
         throw ConfigError(detail::concat("workload key '", key,
                                          "': expected an integer, got '",
                                          value, "'"));
     }
-    return out;
+    if (ec == std::errc::result_out_of_range || !std::in_range<T>(out)) {
+        // The accepted range is T's, capped by the int64 parse.
+        const std::uint64_t hi = std::min<std::uint64_t>(
+            std::numeric_limits<T>::max(),
+            std::numeric_limits<std::int64_t>::max());
+        throw ConfigError(detail::concat(
+            "workload key '", key, "': ", value, " is out of range [",
+            +std::numeric_limits<T>::min(), ", ", hi, "]"));
+    }
+    return static_cast<T>(out);
 }
 
 bool
@@ -75,10 +88,8 @@ buildTwoLevel(const WorkloadSpec &spec, const WorkloadContext &ctx)
     p.seed = ctx.seed;
     if (const auto *v = spec.find("tasks"))
         p.avgConcurrentTasks = parseDouble("tasks", *v);
-    if (const auto *v = spec.find("locality_radius")) {
-        p.localityRadius =
-            static_cast<std::int32_t>(parseInt("locality_radius", *v));
-    }
+    if (const auto *v = spec.find("locality_radius"))
+        p.localityRadius = parseInt<std::int32_t>("locality_radius", *v);
     if (const auto *v = spec.find("p_local"))
         p.pLocal = parseDouble("p_local", *v);
     if (const auto *v = spec.find("per_packet_dest"))
@@ -119,21 +130,15 @@ buildCmp(const WorkloadSpec &spec, const WorkloadContext &ctx)
     p.packetRate = ctx.injectionRate;
     p.seed = ctx.seed;
     if (const auto *v = spec.find("window"))
-        p.window = static_cast<std::int32_t>(parseInt("window", *v));
-    if (const auto *v = spec.find("request_flits")) {
-        p.requestFlits =
-            static_cast<std::uint16_t>(parseInt("request_flits", *v));
-    }
-    if (const auto *v = spec.find("reply_flits")) {
-        p.replyFlits =
-            static_cast<std::uint16_t>(parseInt("reply_flits", *v));
-    }
-    if (const auto *v = spec.find("home_latency")) {
-        p.homeLatencyCycles =
-            static_cast<Cycle>(parseInt("home_latency", *v));
-    }
+        p.window = parseInt<std::int32_t>("window", *v);
+    if (const auto *v = spec.find("request_flits"))
+        p.requestFlits = parseInt<std::uint16_t>("request_flits", *v);
+    if (const auto *v = spec.find("reply_flits"))
+        p.replyFlits = parseInt<std::uint16_t>("reply_flits", *v);
+    if (const auto *v = spec.find("home_latency"))
+        p.homeLatencyCycles = parseInt<Cycle>("home_latency", *v);
     if (const auto *v = spec.find("hot_nodes"))
-        p.hotNodes = static_cast<std::int32_t>(parseInt("hot_nodes", *v));
+        p.hotNodes = parseInt<std::int32_t>("hot_nodes", *v);
     if (const auto *v = spec.find("p_hot"))
         p.pHot = parseDouble("p_hot", *v);
     return std::make_unique<CmpWorkload>(ctx.topo, p);

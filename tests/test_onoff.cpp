@@ -127,3 +127,50 @@ TEST(OnOffBank, EmittedCounterMatchesCallback)
     EXPECT_EQ(bank.emitted(), emitted);
     EXPECT_GT(emitted, 0u);
 }
+
+namespace
+{
+
+/** The aggregate per-task rate of the two-level headline load
+ *  (1.2 pkts/cycle over 100 tasks), on one 128-source bank. */
+constexpr std::int32_t kHeadlineSources = 128;
+constexpr double kHeadlineTaskRate = 0.012;
+
+} // namespace
+
+TEST(OnOffBank, PendingEventsBoundedBySources)
+{
+    // Each source has at most one pending toggle and one pending
+    // emission, so the queue never holds more than two events per
+    // source.  An emission that would land past its ON period must
+    // never be scheduled at all.
+    Kernel kernel;
+    OnOffParams p;
+    OnOffSourceBank bank(kernel, kHeadlineSources, kHeadlineTaskRate, p,
+                         Rng(77), [] {});
+    bank.start();
+    for (Cycle chunk = 1; chunk <= 200; ++chunk) {
+        kernel.run(cyclesToTicks(chunk * 1000));
+        ASSERT_LE(kernel.pendingEvents(), 2u * kHeadlineSources)
+            << "after chunk " << chunk;
+    }
+}
+
+TEST(OnOffBank, EmissionStreamPinned)
+{
+    // Pins the exact emission times (FNV-1a over kernel.now() at each
+    // emission).  Not scheduling dead emissions must leave the stream
+    // bit-identical: they never drew from the RNG.
+    Kernel kernel;
+    OnOffParams p;
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    OnOffSourceBank bank(kernel, kHeadlineSources, kHeadlineTaskRate, p,
+                         Rng(77), [&] {
+                             h = (h ^ kernel.now()) * 0x100000001b3ULL;
+                         });
+    bank.start();
+    for (Cycle chunk = 1; chunk <= 200; ++chunk)
+        kernel.run(cyclesToTicks(chunk * 1000));
+    EXPECT_EQ(bank.emitted(), 2611u);
+    EXPECT_EQ(h, 0xac79b93a23e23155ULL);
+}

@@ -137,6 +137,19 @@ TEST(WorkloadFactory, BuildRejectsBadValuesAndMissingPath)
     EXPECT_THROW(buildWorkload("cmp:window=abc", ctx), ConfigError);
     EXPECT_THROW(buildWorkload("cmp:window=0", ctx), ConfigError);
     EXPECT_THROW(buildWorkload("trace", ctx), ConfigError);
+    // Out-of-range two-level values throw instead of aborting.
+    for (const char *spec :
+         {"two-level:tasks=0", "two-level:tasks=nan", "two-level:tasks=1e300",
+          "two-level:p_local=2", "two-level:locality_radius=-1"}) {
+        EXPECT_THROW(buildWorkload(spec, ctx), ConfigError) << spec;
+    }
+    // Integer keys are range-checked against their field's type, and
+    // NaN fails the probability check.
+    for (const char *spec :
+         {"cmp:request_flits=65537", "cmp:window=4294967297",
+          "cmp:p_hot=nan,hot_nodes=2"}) {
+        EXPECT_THROW(buildWorkload(spec, ctx), ConfigError) << spec;
+    }
 }
 
 TEST(WorkloadFactory, ExperimentSpecValidatesWorkloadSpec)
