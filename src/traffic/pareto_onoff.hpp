@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -48,34 +47,53 @@ struct OnOffParams
  * expectation: each source's ON-state Poisson rate is
  * aggregateRate / (numSources * dutyCycle).
  *
- * An emission is scheduled only if it lands inside its source's current
- * ON period, so each source has at most one pending emission and every
- * emission event emits.  The bank can be stopped (task completion in the
- * two-level model); any in-flight events then expire silently.
+ * The bank is a closed generator.  Every source owns an RNG stream
+ * forked from the bank's at construction and draws, in order: whether
+ * it starts ON (probability dutyCycle), then per ON period its length
+ * and the Poisson gaps of its emissions, then the following OFF length.
+ * An ON period starting at b with length len emits first at b + gap if
+ * gap <= len, and after an emission at t next at t + gap if
+ * t + gap < b + len.  The bank keeps one entry per source in a local
+ * min-heap keyed by (tick, source): either the source's next emission or
+ * the tick its next ON period starts.  ON/OFF toggles are resolved
+ * inside the bank, in tick order; the kernel only ever holds one event
+ * per bank, at its next emission (or, if that lies more than ~1M cycles
+ * ahead, at the next ON start still to resolve).
+ *
+ * An emission that falls on a router clock edge reaches the sink one
+ * tick later (deliveryTick()), so no packet is created at the same tick
+ * as the network's step: which of the two ran first would otherwise
+ * depend on scheduling history, and a trace replay could not
+ * reproduce it.
  */
 class OnOffSourceBank
 {
   public:
-    /** Emission callback: one packet request now. */
-    using EmitFn = std::function<void()>;
+    /** Emission callback: one packet request now, from `source`. */
+    using EmitFn = std::function<void(std::int32_t source)>;
+
+    /** Largest gap cyclesToGap() returns; keeps tick sums in range. */
+    static constexpr Tick kMaxGapTicks = Tick{1} << 60;
 
     /**
      * @param kernel event kernel
      * @param numSources sources multiplexed (paper: 128)
      * @param aggregateRate expected packets/cycle for the whole bank
      * @param params envelope distribution parameters
-     * @param rng seeded engine (moved in; the bank owns its stream)
+     * @param rng seeded engine; each source's stream is forked from it
      * @param emit called once per generated packet
      */
     OnOffSourceBank(sim::Kernel &kernel, std::int32_t numSources,
                     double aggregateRate, const OnOffParams &params,
                     Rng rng, EmitFn emit);
 
-    /** Begin: every source starts in OFF with a random residual delay. */
+    /** Begin at kernel.now(): every source starts ON with probability
+     *  dutyCycle, else after an OFF period. */
     void start();
 
-    /** Stop emitting; pending events die off. */
-    void stop() { stopped_ = true; }
+    /** Stop emitting and cancel the bank's kernel event; the bank may
+     *  then be destroyed. */
+    void stop();
 
     bool stopped() const { return stopped_; }
 
@@ -85,23 +103,60 @@ class OnOffSourceBank
     /** ON-state per-source Poisson rate (packets/cycle). */
     double onRate() const { return onRate_; }
 
+    /** Router cycles to a tick gap: rounded, at least 1, saturating at
+     *  kMaxGapTicks (NaN and infinity included). */
+    static Tick cyclesToGap(double cycles);
+
+    /** Tick at which an emission due at `tick` reaches the sink. */
+    static Tick
+    deliveryTick(Tick tick)
+    {
+        return tick % kRouterClockPeriod == 0 ? tick + 1 : tick;
+    }
+
   private:
-    void toggle(std::int32_t source, bool nowOn);
-    void emitLoop(std::int32_t source);
-    Tick cyclesToGap(double cycles) const;
+    struct Source
+    {
+        Rng rng;
+        Tick onUntil = 0;  ///< end tick of the current ON period
+    };
+
+    /** A source's one pending step: an emission or an ON start. */
+    struct Entry
+    {
+        Tick when;
+        std::int32_t source;
+        bool emission;
+    };
+
+    /** Heap order: by tick, ties by source index. */
+    static bool
+    before(const Entry &a, const Entry &b)
+    {
+        return a.when != b.when ? a.when < b.when : a.source < b.source;
+    }
+
+    void fire();
+    void settle();
+    void schedule();
+    void beginOn(Entry &e);
+    void afterEmission(Entry &e);
+    void beginOff(Entry &e);
+    void siftDownTop();
 
     sim::Kernel &kernel_;
-    std::int32_t numSources_;
     OnOffParams params_;
     double onRate_;
     double onLocation_;   ///< Pareto location for ON periods
     double offLocation_;  ///< Pareto location for OFF periods
-    Rng rng_;
     EmitFn emit_;
     bool stopped_ = false;
+    bool scheduled_ = false;
+    sim::EventQueue::EventId event_ = 0;
     std::uint64_t emitted_ = 0;
 
-    std::vector<Tick> onUntil_;  ///< end tick of the current ON period
+    std::vector<Source> sources_;
+    std::vector<Entry> heap_;  ///< one entry per source, min at [0]
 };
 
 } // namespace dvsnet::traffic

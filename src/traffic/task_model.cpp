@@ -55,10 +55,13 @@ TwoLevelParams::validate() const
         complain("workload.onOff shapes must be finite and > 1 (got ",
                  onOff.onShape, ", ", onOff.offShape, ")");
     }
-    if (!(std::isfinite(onOff.meanOnCycles) && onOff.meanOnCycles > 0 &&
-          std::isfinite(onOff.meanOffCycles) && onOff.meanOffCycles > 0)) {
-        complain("workload.onOff means must be positive and finite (got ",
-                 onOff.meanOnCycles, ", ", onOff.meanOffCycles, ")");
+    if (!(onOff.meanOnCycles > 0 &&
+          onOff.meanOnCycles <= kMaxOnOffMeanCycles &&
+          onOff.meanOffCycles > 0 &&
+          onOff.meanOffCycles <= kMaxOnOffMeanCycles)) {
+        complain("workload.onOff means must be in (0, ",
+                 kMaxOnOffMeanCycles, "] (got ", onOff.meanOnCycles, ", ",
+                 onOff.meanOffCycles, ")");
     }
     return problems;
 }
@@ -156,7 +159,7 @@ TwoLevelWorkload::spawnTask(bool initialPopulation)
     Task *raw = task.get();
     task->bank = std::make_unique<OnOffSourceBank>(
         *kernel_, params_.sourcesPerTask, taskRate, params_.onOff,
-        rng_.fork(), [this, raw] {
+        rng_.fork(), [this, raw](std::int32_t) {
             ++stats_.packetsGenerated;
             if (params_.perPacketDestination) {
                 sink_(PacketRequest{
@@ -166,21 +169,28 @@ TwoLevelWorkload::spawnTask(bool initialPopulation)
             }
         });
     task->bank->start();
-
-    ++activeTasks_;
     ++stats_.tasksSpawned;
 
     const Tick lifetime = std::max<Tick>(
         static_cast<Tick>(durationCycles *
                           static_cast<double>(kRouterClockPeriod) + 0.5),
         1);
-    kernel_->after(lifetime, [this, raw] {
-        raw->bank->stop();
-        --activeTasks_;
-        ++stats_.tasksCompleted;
-    });
+    kernel_->after(lifetime, [this, raw] { endTask(raw); });
 
+    task->slot = tasks_.size();
     tasks_.push_back(std::move(task));
+}
+
+void
+TwoLevelWorkload::endTask(Task *task)
+{
+    // A stopped bank has no kernel event left, so it can go now.
+    task->bank->stop();
+    ++stats_.tasksCompleted;
+    const std::size_t slot = task->slot;
+    std::swap(tasks_[slot], tasks_.back());
+    tasks_[slot]->slot = slot;
+    tasks_.pop_back();
 }
 
 } // namespace dvsnet::traffic

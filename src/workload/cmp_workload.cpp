@@ -19,9 +19,10 @@ CmpParams::validate() const
         complain("cmp.window must be >= 1 (got ", window, ")");
     if (requestFlits < 1)
         complain("cmp.requestFlits must be >= 1 (got ", requestFlits, ")");
-    if (homeLatencyCycles < 1) {
-        complain("cmp.homeLatencyCycles must be >= 1 (got ",
-                 homeLatencyCycles, ")");
+    if (homeLatencyCycles < 1 ||
+        homeLatencyCycles > kMaxHomeLatencyCycles) {
+        complain("cmp.homeLatencyCycles must be in [1, ",
+                 kMaxHomeLatencyCycles, "] (got ", homeLatencyCycles, ")");
     }
     if (hotNodes < 0)
         complain("cmp.hotNodes must be >= 0 (got ", hotNodes, ")");

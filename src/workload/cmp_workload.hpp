@@ -55,8 +55,13 @@ struct CmpParams
      *  network's configured packet length). */
     std::uint16_t replyFlits = 5;
 
+    /** Upper bound on homeLatencyCycles (1 s at 1 GHz): keeps the
+     *  reply time far inside the 64-bit tick range. */
+    static constexpr Cycle kMaxHomeLatencyCycles = 1000000000;
+
     /** Home-node service latency in router cycles (directory lookup +
-     *  L2 access) between request delivery and reply injection. */
+     *  L2 access) between request delivery and reply injection; in
+     *  [1, kMaxHomeLatencyCycles]. */
     Cycle homeLatencyCycles = 20;
 
     /** Number of hot home nodes (0 = uniform home selection). */

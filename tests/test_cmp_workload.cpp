@@ -63,6 +63,12 @@ TEST(CmpParams, ValidateCatchesBadValues)
     EXPECT_FALSE(p.validate().empty());
 
     p = validParams();
+    p.homeLatencyCycles = CmpParams::kMaxHomeLatencyCycles;
+    EXPECT_TRUE(p.validate().empty());
+    p.homeLatencyCycles = CmpParams::kMaxHomeLatencyCycles + 1;
+    EXPECT_FALSE(p.validate().empty());
+
+    p = validParams();
     p.pHot = 1.5;
     EXPECT_FALSE(p.validate().empty());
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -15,6 +16,7 @@
 
 using dvsnet::Cycle;
 using dvsnet::Rng;
+using dvsnet::Tick;
 using dvsnet::cyclesToTicks;
 using dvsnet::sim::Kernel;
 using dvsnet::traffic::OnOffParams;
@@ -32,7 +34,7 @@ TEST(OnOffBank, OnRateCalibration)
 {
     Kernel kernel;
     OnOffParams p;  // duty 1/3 by default
-    OnOffSourceBank bank(kernel, 128, 0.02, p, Rng(1), [] {});
+    OnOffSourceBank bank(kernel, 128, 0.02, p, Rng(1), [](std::int32_t) {});
     // onRate = aggregate / (sources * duty).
     EXPECT_NEAR(bank.onRate(), 0.02 / (128.0 / 3.0), 1e-9);
 }
@@ -43,7 +45,7 @@ TEST(OnOffBank, AggregateRateNearTarget)
     OnOffParams p;
     std::uint64_t emitted = 0;
     OnOffSourceBank bank(kernel, 64, 0.05, p, Rng(2),
-                         [&] { ++emitted; });
+                         [&](std::int32_t) { ++emitted; });
     bank.start();
     const Cycle horizon = 400000;
     kernel.run(cyclesToTicks(horizon));
@@ -57,7 +59,7 @@ TEST(OnOffBank, StopHaltsEmission)
     Kernel kernel;
     OnOffParams p;
     std::uint64_t emitted = 0;
-    OnOffSourceBank bank(kernel, 32, 0.05, p, Rng(3), [&] { ++emitted; });
+    OnOffSourceBank bank(kernel, 32, 0.05, p, Rng(3), [&](std::int32_t) { ++emitted; });
     bank.start();
     kernel.run(cyclesToTicks(50000));
     bank.stop();
@@ -78,7 +80,7 @@ TEST(OnOffBank, AggregateIsBurstierThanPoisson)
     OnOffParams p;
     std::vector<std::uint64_t> counts;
     std::uint64_t current = 0;
-    OnOffSourceBank bank(kernel, 16, 0.05, p, Rng(4), [&] { ++current; });
+    OnOffSourceBank bank(kernel, 16, 0.05, p, Rng(4), [&](std::int32_t) { ++current; });
     bank.start();
 
     const Cycle interval = 1000;
@@ -109,7 +111,7 @@ TEST(OnOffBank, DeterministicUnderSeed)
         Kernel kernel;
         OnOffParams p;
         OnOffSourceBank bank(kernel, 16, 0.05, p, Rng(77),
-                             [&] { log->push_back(kernel.now()); });
+                             [&](std::int32_t) { log->push_back(kernel.now()); });
         bank.start();
         kernel.run(cyclesToTicks(50000));
     }
@@ -121,7 +123,7 @@ TEST(OnOffBank, EmittedCounterMatchesCallback)
     Kernel kernel;
     OnOffParams p;
     std::uint64_t emitted = 0;
-    OnOffSourceBank bank(kernel, 16, 0.02, p, Rng(5), [&] { ++emitted; });
+    OnOffSourceBank bank(kernel, 16, 0.02, p, Rng(5), [&](std::int32_t) { ++emitted; });
     bank.start();
     kernel.run(cyclesToTicks(100000));
     EXPECT_EQ(bank.emitted(), emitted);
@@ -140,37 +142,103 @@ constexpr double kHeadlineTaskRate = 0.012;
 
 TEST(OnOffBank, PendingEventsBoundedBySources)
 {
-    // Each source has at most one pending toggle and one pending
-    // emission, so the queue never holds more than two events per
-    // source.  An emission that would land past its ON period must
-    // never be scheduled at all.
+    // The bank resolves ON/OFF toggles inside itself: whatever its
+    // sources do, the kernel holds at most one event for it.
     Kernel kernel;
     OnOffParams p;
     OnOffSourceBank bank(kernel, kHeadlineSources, kHeadlineTaskRate, p,
-                         Rng(77), [] {});
+                         Rng(77), [](std::int32_t) {});
     bank.start();
     for (Cycle chunk = 1; chunk <= 200; ++chunk) {
         kernel.run(cyclesToTicks(chunk * 1000));
-        ASSERT_LE(kernel.pendingEvents(), 2u * kHeadlineSources)
-            << "after chunk " << chunk;
+        ASSERT_LE(kernel.pendingEvents(), 1u) << "after chunk " << chunk;
     }
+    // One kernel event per emission, give or take same-tick batching.
+    EXPECT_LE(kernel.executedEvents(), bank.emitted());
+}
+
+TEST(OnOffBank, StopCancelsTheBanksEvent)
+{
+    Kernel kernel;
+    OnOffParams p;
+    auto bank = std::make_unique<OnOffSourceBank>(
+        kernel, kHeadlineSources, kHeadlineTaskRate, p, Rng(9),
+        [](std::int32_t) {});
+    bank->start();
+    kernel.run(cyclesToTicks(20000));
+    EXPECT_EQ(kernel.pendingEvents(), 1u);
+    bank->stop();
+    EXPECT_EQ(kernel.pendingEvents(), 0u);
+    // Nothing in the kernel refers to a stopped bank any more.
+    bank.reset();
+    const std::uint64_t executed = kernel.executedEvents();
+    kernel.run(cyclesToTicks(40000));
+    EXPECT_EQ(kernel.executedEvents(), executed);
+}
+
+TEST(OnOffBank, EmissionsAvoidRouterClockEdges)
+{
+    // A packet created on a clock edge would race the network's step at
+    // that tick; such emissions are delivered one tick later.
+    Kernel kernel;
+    OnOffParams p;
+    std::uint64_t onEdge = 0;
+    OnOffSourceBank bank(kernel, 16, 0.5, p, Rng(3), [&](std::int32_t) {
+        onEdge += kernel.now() % dvsnet::kRouterClockPeriod == 0;
+    });
+    bank.start();
+    kernel.run(cyclesToTicks(50000));
+    EXPECT_GT(bank.emitted(), 10000u);
+    EXPECT_EQ(onEdge, 0u);
+    EXPECT_EQ(OnOffSourceBank::deliveryTick(5000), 5001u);
+    EXPECT_EQ(OnOffSourceBank::deliveryTick(5001), 5001u);
+}
+
+TEST(OnOffBank, CyclesToGapRoundsAndSaturates)
+{
+    EXPECT_EQ(OnOffSourceBank::cyclesToGap(1.0), 1000u);
+    EXPECT_EQ(OnOffSourceBank::cyclesToGap(2.0004), 2000u);
+    EXPECT_EQ(OnOffSourceBank::cyclesToGap(2.0005), 2001u);
+    EXPECT_EQ(OnOffSourceBank::cyclesToGap(0.0), 1u);  // at least a tick
+    // Past the tick range: saturate instead of an undefined cast.
+    const Tick max = OnOffSourceBank::kMaxGapTicks;
+    EXPECT_EQ(OnOffSourceBank::cyclesToGap(1e300), max);
+    EXPECT_EQ(OnOffSourceBank::cyclesToGap(HUGE_VAL), max);
+    EXPECT_EQ(OnOffSourceBank::cyclesToGap(std::nan("")), max);
+    EXPECT_EQ(OnOffSourceBank::cyclesToGap(2e15), max);
+    EXPECT_EQ(OnOffSourceBank::cyclesToGap(1e15), Tick{1000000000000000000});
+}
+
+TEST(OnOffBank, ExtremeRatesStayInRange)
+{
+    // A vanishing rate makes every Poisson gap saturate; the bank must
+    // neither overflow its tick sums nor spin resolving ON periods.
+    Kernel kernel;
+    OnOffParams p;
+    OnOffSourceBank bank(kernel, 4, 1e-300, p, Rng(11),
+                         [](std::int32_t) {});
+    bank.start();
+    kernel.run(cyclesToTicks(Cycle{1} << 22));
+    EXPECT_EQ(bank.emitted(), 0u);
+    EXPECT_LE(kernel.pendingEvents(), 1u);
 }
 
 TEST(OnOffBank, EmissionStreamPinned)
 {
     // Pins the exact emission times (FNV-1a over kernel.now() at each
-    // emission).  Not scheduling dead emissions must leave the stream
-    // bit-identical: they never drew from the RNG.
+    // emission).  tests/test_onoff_distribution.cpp locks the same
+    // stream against an event-driven reference and the original
+    // generator's statistics.
     Kernel kernel;
     OnOffParams p;
     std::uint64_t h = 0xcbf29ce484222325ULL;
     OnOffSourceBank bank(kernel, kHeadlineSources, kHeadlineTaskRate, p,
-                         Rng(77), [&] {
+                         Rng(77), [&](std::int32_t) {
                              h = (h ^ kernel.now()) * 0x100000001b3ULL;
                          });
     bank.start();
     for (Cycle chunk = 1; chunk <= 200; ++chunk)
         kernel.run(cyclesToTicks(chunk * 1000));
-    EXPECT_EQ(bank.emitted(), 2611u);
-    EXPECT_EQ(h, 0xac79b93a23e23155ULL);
+    EXPECT_EQ(bank.emitted(), 2808u);
+    EXPECT_EQ(h, 0x56ac87218b298ee5ULL);
 }

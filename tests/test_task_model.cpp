@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 
 #include "common/rng.hpp"
@@ -76,6 +77,45 @@ TEST(TwoLevel, TasksSpawnAndComplete)
     EXPECT_EQ(static_cast<std::int64_t>(wl.stats().tasksSpawned) -
                   static_cast<std::int64_t>(wl.stats().tasksCompleted),
               wl.activeTasks());
+}
+
+TEST(TwoLevel, RetainsBanksOnlyForActiveTasks)
+{
+    // A finished task's bank is freed at once: the workload holds one
+    // task (and bank) per active session, and the kernel holds at most
+    // a bank event and an end event per active task plus the next
+    // session arrival.
+    const KAryNCube m(8, 2, false);
+    Kernel kernel;
+    TwoLevelWorkload wl(m, fastParams());
+    wl.start(kernel, [](const dvsnet::traffic::PacketRequest &) {});
+    for (Cycle t = 10000; t <= 400000; t += 10000) {
+        kernel.run(cyclesToTicks(t));
+        const auto &st = wl.stats();
+        ASSERT_EQ(wl.activeTasks(),
+                  static_cast<std::int64_t>(st.tasksSpawned -
+                                            st.tasksCompleted));
+        ASSERT_LE(kernel.pendingEvents(),
+                  2 * static_cast<std::size_t>(wl.activeTasks()) + 1);
+    }
+    EXPECT_GT(wl.stats().tasksCompleted, 300u);
+    EXPECT_LT(wl.activeTasks(), 40);
+}
+
+TEST(TwoLevel, ValidateCapsOnOffMeans)
+{
+    TwoLevelParams p;
+    EXPECT_TRUE(p.validate().empty());
+    p.onOff.meanOffCycles = TwoLevelParams::kMaxOnOffMeanCycles;
+    EXPECT_TRUE(p.validate().empty());
+    for (const double bad : {0.0, -1.0, 2e9, HUGE_VAL, std::nan("")}) {
+        p = TwoLevelParams{};
+        p.onOff.meanOnCycles = bad;
+        EXPECT_FALSE(p.validate().empty()) << bad;
+        p = TwoLevelParams{};
+        p.onOff.meanOffCycles = bad;
+        EXPECT_FALSE(p.validate().empty()) << bad;
+    }
 }
 
 TEST(TwoLevel, InjectionRateNearTarget)

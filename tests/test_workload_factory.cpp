@@ -147,7 +147,9 @@ TEST(WorkloadFactory, BuildRejectsBadValuesAndMissingPath)
     // NaN fails the probability check.
     for (const char *spec :
          {"cmp:request_flits=65537", "cmp:window=4294967297",
-          "cmp:p_hot=nan,hot_nodes=2"}) {
+          "cmp:p_hot=nan,hot_nodes=2",
+          // Type-valid, but would wrap the reply time in ticks.
+          "cmp:home_latency=4611686018427387904"}) {
         EXPECT_THROW(buildWorkload(spec, ctx), ConfigError) << spec;
     }
 }
