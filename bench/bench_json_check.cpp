@@ -5,7 +5,8 @@
  *   bench_json_check <artifact.json>
  *       Parse the artifact and check the required keys: schema id,
  *       binary/figure identity, config echo, seed, threads,
- *       wall_seconds and a non-empty results array.
+ *       wall_seconds and a non-empty results array; every executed
+ *       point must report its network's storage_bytes.
  *
  *   bench_json_check <artifact.json> --schema <baseline.json>
  *       Additionally compare the artifact's *structure* against a
@@ -250,6 +251,33 @@ checkEnergyAgreement(const Json &node, const std::string &path)
 }
 
 /**
+ * Point footprint: any object (at any depth) shaped like an executed
+ * point — `injection_rate`, `ok` and `wall_seconds` — that succeeded
+ * must report the network's storage as a positive `storage_bytes`.
+ */
+void
+checkPointStorage(const Json &node, const std::string &path)
+{
+    if (node.isArray()) {
+        for (std::size_t i = 0; i < node.size(); ++i)
+            checkPointStorage(node.at(i),
+                              path + "[" + std::to_string(i) + "]");
+        return;
+    }
+    if (!node.isObject())
+        return;
+    const Json *ok = node.find("ok");
+    if (ok && ok->isBool() && ok->asBool() && node.find("injection_rate") &&
+        node.find("wall_seconds")) {
+        const Json *bytes = node.find("storage_bytes");
+        if (!bytes || !bytes->isNumber() || !(bytes->asDouble() > 0.0))
+            fail("point at " + path + " lacks a positive storage_bytes");
+    }
+    for (const auto &[key, value] : node.items())
+        checkPointStorage(value, path + "." + key);
+}
+
+/**
  * Typed `pareto_search` result entry (the search driver binaries): the
  * spec echo, a completion flag, the evaluation/cache counters, and a
  * front whose points all carry numeric objective vectors of a shared
@@ -379,6 +407,7 @@ validate(const Json &root)
     // Per-point energy totals must have come from the same ledger that
     // produced the point's average power.
     checkEnergyAgreement(results, "$.results");
+    checkPointStorage(results, "$.results");
 }
 
 } // namespace

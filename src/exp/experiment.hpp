@@ -13,6 +13,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -61,6 +62,11 @@ struct PointResult
     std::string error;       ///< set when !ok; the point's exception text
     double wallSeconds = 0;  ///< wall-clock time spent executing the job
 
+    /** The network's `network.storage_bytes` gauge at the end of the
+     *  run: heap held by its inboxes, VC rings, channel pending
+     *  buffers and event queue.  Valid only when ok. */
+    std::size_t storageBytes = 0;
+
     network::RunResults results;  ///< valid only when ok
 
     /** View as a sweep sample (rate + results). */
@@ -72,7 +78,8 @@ struct PointResult
 
 /**
  * Artifact entry for one executed point: rate, seed, label, wall-clock,
- * and either the results object (ok) or the error string.
+ * and either the results object plus `storage_bytes` (ok) or the error
+ * string.
  */
 Json toJson(const PointResult &result);
 
@@ -101,9 +108,11 @@ struct RunnerOptions
 /**
  * Execute one measurement point with an explicit workload seed — the
  * primitive every runner worker calls.  Throws ConfigError on an
- * invalid spec or rate.
+ * invalid spec or rate.  A non-null `storageBytes` receives the
+ * network's storage gauge at the end of the run.
  */
 network::RunResults runPoint(const network::ExperimentSpec &spec,
-                             double injectionRate, std::uint64_t seed);
+                             double injectionRate, std::uint64_t seed,
+                             std::size_t *storageBytes = nullptr);
 
 } // namespace dvsnet::exp

@@ -207,6 +207,14 @@ class DvsChannel final : public router::FlitChannel,
     /** Credit deliveries buffered in the channel. */
     std::size_t pendingCredits() const { return pendingCredits_.size(); }
 
+    /** Heap bytes held by the pending-delivery buffers (capacity). */
+    std::size_t
+    pendingStorageBytes() const
+    {
+        return pendingFlits_.capacity() * sizeof(pendingFlits_[0]) +
+               pendingCredits_.capacity() * sizeof(pendingCredits_[0]);
+    }
+
     /** Contiguous same-level serialization bursts started. */
     std::uint64_t flitBursts() const { return flitBursts_; }
 

@@ -539,6 +539,8 @@ Network::collect() const
     res.avgChannelLevel = averageChannelLevel();
     res.invariantChecks = registry_.totalInvariantChecks();
     res.invariantFailures = registry_.totalInvariantFailures();
+    registry_.gauge("network.storage_bytes") =
+        static_cast<double>(storageBytes());
     return res;
 }
 
@@ -612,6 +614,17 @@ Network::verifyFlowControlInvariants() const
                   " credits-in-flight=", creditsInFlight,
                   " capacity=", portCapacity);
     }
+}
+
+std::size_t
+Network::storageBytes() const
+{
+    std::size_t n = kernel_.queue().storageBytes();
+    for (const auto &r : routers_)
+        n += r->storageBytes();
+    for (const auto &ch : channels_)
+        n += ch->pendingStorageBytes();
+    return n;
 }
 
 double

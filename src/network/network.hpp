@@ -192,6 +192,14 @@ class Network
     /** Flits waiting in `node`'s source queue. */
     std::size_t sourceQueueDepth(NodeId node) const;
 
+    /**
+     * Heap bytes held by the stores that scale with traffic: router
+     * inboxes and VC rings, channel pending-delivery buffers and the
+     * event queue.  collect() publishes it as the
+     * `network.storage_bytes` gauge.
+     */
+    std::size_t storageBytes() const;
+
     /** Mean DVS level across channels right now. */
     double averageChannelLevel() const;
 

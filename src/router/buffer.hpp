@@ -18,6 +18,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -39,15 +40,17 @@ enum class VcState : std::uint8_t
 /**
  * One virtual channel's flit FIFO.
  *
- * The FIFO is a fixed ring over a preallocated flit array — the buffer
- * depth is static, and the ring keeps the router's per-cycle scans on
- * contiguous memory (this sits on the simulator's hottest path).
+ * The FIFO is a ring over a flit array, which keeps the router's
+ * per-cycle scans on contiguous memory (this sits on the simulator's
+ * hottest path).  The array is allocated on use: it starts empty and
+ * doubles, up to the configured depth, whenever an enqueue finds it
+ * full.  Most VCs never hold more than a packet or two, so a network
+ * neither allocates nor zero-fills the full depth of every buffer.
  */
 class VirtualChannel
 {
   public:
-    explicit VirtualChannel(std::size_t capacity)
-        : slots_(capacity), capacity_(capacity)
+    explicit VirtualChannel(std::size_t capacity) : capacity_(capacity)
     {
         DVSNET_ASSERT(capacity > 0, "VC capacity must be positive");
     }
@@ -69,9 +72,11 @@ class VirtualChannel
     enqueue(const Flit &flit)
     {
         DVSNET_ASSERT(!full(), "enqueue into full VC (credit bug)");
+        if (size_ == slots_.size())
+            grow();
         std::size_t idx = head_ + size_;
-        if (idx >= capacity_)
-            idx -= capacity_;
+        if (idx >= slots_.size())
+            idx -= slots_.size();
         slots_[idx] = flit;
         ++size_;
     }
@@ -90,14 +95,37 @@ class VirtualChannel
     {
         DVSNET_ASSERT(!empty(), "dequeue from empty VC");
         Flit f = slots_[head_];
-        if (++head_ == capacity_)
+        if (++head_ == slots_.size())
             head_ = 0;
         --size_;
         return f;
     }
 
+    /** Heap bytes held by the ring (allocated slots, not occupancy). */
+    std::size_t storageBytes() const
+    {
+        return slots_.capacity() * sizeof(Flit);
+    }
+
   private:
-    std::vector<Flit> slots_;  ///< ring storage, fixed at capacity_
+    /** Double the ring (from 4 slots, capped at capacity_), unwrapping
+     *  it so the oldest flit lands at slot 0. */
+    void
+    grow()
+    {
+        std::vector<Flit> bigger(
+            std::min(capacity_, std::max<std::size_t>(4, 2 * slots_.size())));
+        for (std::size_t i = 0; i < size_; ++i) {
+            std::size_t idx = head_ + i;
+            if (idx >= slots_.size())
+                idx -= slots_.size();
+            bigger[i] = slots_[idx];
+        }
+        slots_.swap(bigger);
+        head_ = 0;
+    }
+
+    std::vector<Flit> slots_;  ///< ring storage, grown up to capacity_
     std::size_t capacity_;
     std::size_t head_ = 0;
     std::size_t size_ = 0;
@@ -143,6 +171,16 @@ class InputBuffer
         std::size_t n = 0;
         for (const auto &v : vcs_)
             n += v.occupancy();
+        return n;
+    }
+
+    /** Heap bytes held by the VC rings. */
+    std::size_t
+    storageBytes() const
+    {
+        std::size_t n = 0;
+        for (const auto &v : vcs_)
+            n += v.storageBytes();
         return n;
     }
 

@@ -7,6 +7,12 @@
  * arrival time <= now at the start of its cycle step.  Because each inbox
  * is fed by exactly one link and each link's deliveries are monotone in
  * time, a plain FIFO preserves timestamp order — no per-flit events needed.
+ *
+ * A busy link's inbox rarely drains completely: deliveries are
+ * future-dated, so a flit still on the wire is queued behind the ones
+ * being consumed.  The inbox therefore reclaims its consumed prefix as
+ * it goes, and its storage tracks the items in flight rather than the
+ * time since the link last went quiet.
  */
 
 #pragma once
@@ -26,14 +32,21 @@ namespace dvsnet::router
  *
  * Stored as a flat vector with a drain cursor rather than a deque: the
  * router's step polls ready()/empty() every cycle, and a contiguous
- * buffer that resets to offset zero whenever it fully drains (the
- * common case — deliveries are future-dated, so a step consumes
- * everything due) keeps those polls to two adjacent loads.
+ * buffer keeps those polls to two adjacent loads.  The buffer resets to
+ * offset zero when it fully drains; on a busy link, where that is rare,
+ * pop() compacts instead once the cursor has consumed half the buffer
+ * (and at least kCompactMin slots).  Each compaction moves no more
+ * items than were popped since the last one, so it is amortized O(1)
+ * per pop, and the buffer never holds more than max(2 x pending,
+ * pending + kCompactMin) slots.
  */
 template <typename T>
 class Inbox
 {
   public:
+    /** Consumed slots below which pop() never compacts. */
+    static constexpr std::size_t kCompactMin = 16;
+
     /** One queued delivery: arrival tick + payload. */
     struct Slot
     {
@@ -107,6 +120,10 @@ class Inbox
         if (++head_ == queue_.size()) {
             queue_.clear();
             head_ = 0;
+        } else if (head_ >= kCompactMin && 2 * head_ >= queue_.size()) {
+            queue_.erase(queue_.begin(),
+                         queue_.begin() + static_cast<std::ptrdiff_t>(head_));
+            head_ = 0;
         }
         return item;
     }
@@ -115,6 +132,12 @@ class Inbox
     std::size_t size() const { return queue_.size() - head_; }
 
     bool empty() const { return head_ == queue_.size(); }
+
+    /** Heap bytes held by the buffer (its capacity, not its size). */
+    std::size_t storageBytes() const
+    {
+        return queue_.capacity() * sizeof(Slot);
+    }
 
     /** Arrival tick of the earliest item; kTickNever if empty. */
     Tick
@@ -125,7 +148,7 @@ class Inbox
 
   private:
     std::vector<Slot> queue_;  ///< [head_, size) = pending items
-    std::size_t head_ = 0;     ///< drain cursor, reset on full drain
+    std::size_t head_ = 0;     ///< drain cursor, reset on drain/compaction
     InlineFn wake_;  ///< optional push notification (activity gating)
 };
 

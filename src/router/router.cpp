@@ -460,6 +460,17 @@ Router::bufferOccupancy(PortId port) const
 }
 
 std::size_t
+Router::storageBytes() const
+{
+    std::size_t n = 0;
+    for (const auto &in : inputs_)
+        n += in.flitInbox.storageBytes() + in.buffer.storageBytes();
+    for (const auto &out : outputs_)
+        n += out.creditInbox.storageBytes();
+    return n;
+}
+
+std::size_t
 Router::bufferCapacity(PortId port) const
 {
     return inputs_.at(static_cast<std::size_t>(port))

@@ -159,6 +159,12 @@ class Router
     /** Flits forwarded through output `port` since the last call. */
     std::uint64_t takeForwardedWindow(PortId port);
 
+    /**
+     * Heap bytes held by this router's delivery inboxes and VC rings
+     * (their capacity, not their occupancy).
+     */
+    std::size_t storageBytes() const;
+
     /** Available downstream credits at output `port` for VC `vc`. */
     std::size_t creditCount(PortId port, VcId vc) const;
 

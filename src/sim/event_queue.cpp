@@ -98,6 +98,28 @@ EventQueue::recycle(std::uint32_t slot)
     freeSlots_.push_back(slot);
 }
 
+void
+EventQueue::releaseBucket(std::size_t idx)
+{
+    occupied_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
+    Bucket &b = buckets_[idx];
+    if (b.capacity() > kBucketRetainKeys)
+        Bucket().swap(b);
+}
+
+std::size_t
+EventQueue::storageBytes() const
+{
+    std::size_t n = buckets_.capacity() * sizeof(Bucket) +
+                    occupied_.capacity() * sizeof(std::uint64_t) +
+                    heap_.capacity() * sizeof(Key) +
+                    slots_.capacity() * sizeof(Slot) +
+                    freeSlots_.capacity() * sizeof(std::uint32_t);
+    for (const Bucket &b : buckets_)
+        n += b.capacity() * sizeof(Key);
+    return n;
+}
+
 std::size_t
 EventQueue::nextOccupied(std::size_t from) const
 {
@@ -136,8 +158,7 @@ EventQueue::wheelPeek()
         }
         if (!b.empty())
             return &b.front();
-        occupied_[cursorIdx_ >> 6] &=
-            ~(std::uint64_t{1} << (cursorIdx_ & 63));
+        releaseBucket(cursorIdx_);
     }
     return nullptr;
 }
@@ -186,8 +207,7 @@ EventQueue::executeNext()
         b.pop_back();
         --wheelKeys_;
         if (b.empty())
-            occupied_[cursorIdx_ >> 6] &=
-                ~(std::uint64_t{1} << (cursorIdx_ & 63));
+            releaseBucket(cursorIdx_);
     } else {
         key = *h;
         heap_.pop();

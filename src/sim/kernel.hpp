@@ -65,6 +65,9 @@ class Kernel
     /** Total events executed since construction. */
     std::uint64_t executedEvents() const { return queue_.executedCount(); }
 
+    /** The event queue, for diagnostics (tier counts, storage). */
+    const EventQueue &queue() const { return queue_; }
+
   private:
     EventQueue queue_;
     Tick now_ = 0;

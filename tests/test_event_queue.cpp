@@ -1,7 +1,7 @@
 /**
  * @file
  * Event-queue tests: temporal ordering, same-tick FIFO determinism,
- * cancellation semantics.
+ * cancellation semantics, release of drained wheel buckets.
  */
 
 #include <gtest/gtest.h>
@@ -201,5 +201,53 @@ TEST(EventQueue, GenerationSurvivesManyReuses)
             EXPECT_FALSE(q.cancel(prev)) << "round " << i;
         q.executeNext();
         prev = id;
+    }
+}
+
+TEST(EventQueue, DrainedBurstBucketReleasesStorage)
+{
+    EventQueue q;
+    const std::size_t idle = q.storageBytes();
+    for (int i = 0; i < 200; ++i)
+        q.schedule(500, [] {});
+    const std::size_t busy = q.storageBytes();
+    EXPECT_GT(busy, idle + 200 * 24);
+    while (!q.empty())
+        q.executeNext();
+    // The 200-key bucket freed its storage; what remains is the event
+    // slots and free list, which scale with the burst, not the wheel.
+    EXPECT_LT(q.storageBytes(), busy - 150 * 24);
+}
+
+TEST(EventQueue, ReleasedBucketRefillKeepsOrder)
+{
+    EventQueue q;
+    std::vector<int> order;
+    // Fill one bucket well past the retained capacity, drain it (its
+    // storage is released), then refill the same bucket — once at the
+    // same window position and once a full wheel rotation later — with
+    // interleaved ticks.  Execution must stay in (tick, insertion) order.
+    const Tick rotation = q.wheelHorizon();
+    for (Tick base : {Tick{1000}, Tick{1000} + rotation}) {
+        // Step the cursor just short of `base`, so the burst lands in
+        // the wheel rather than the overflow heap.
+        q.schedule(base - 100, [] {});
+        q.executeNext();
+        for (int round = 0; round < 2; ++round) {
+            order.clear();
+            for (int i = 0; i < 100; ++i) {
+                const Tick when = base + static_cast<Tick>(i % 3);
+                q.schedule(when, [&order, i] { order.push_back(i); });
+            }
+            ASSERT_EQ(q.wheelPending(), 100u);
+            std::vector<int> want;
+            for (int r = 0; r < 3; ++r)
+                for (int i = r; i < 100; i += 3)
+                    want.push_back(i);
+            while (!q.empty())
+                q.executeNext();
+            EXPECT_EQ(order, want) << "base " << base << " round " << round;
+            base += 3;
+        }
     }
 }
