@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/fatal.hpp"
+#include "traffic/traffic.hpp"
 
 namespace dvsnet::traffic
 {

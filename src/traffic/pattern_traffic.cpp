@@ -33,9 +33,23 @@ PatternTraffic::scheduleNext(NodeId node)
     kernel_->after(std::max<Tick>(gap, 1), [this, node] {
         const NodeId dst = patternDestination(pattern_, node, topo_, rng_);
         if (dst != node)
-            sink_(PacketRequest{node, dst});
+            emit(node, dst);
         scheduleNext(node);
     });
+}
+
+void
+PatternTraffic::emit(NodeId node, NodeId dst)
+{
+    // Draws and the next arrival stay on the Poisson timeline; only
+    // the hand-off of an edge-coincident packet moves, one tick later.
+    const Tick now = kernel_->now();
+    if (deliveryTick(now) == now) {
+        sink_(PacketRequest{node, dst});
+        return;
+    }
+    kernel_->at(deliveryTick(now),
+                [this, node, dst] { sink_(PacketRequest{node, dst}); });
 }
 
 } // namespace dvsnet::traffic

@@ -38,6 +38,9 @@ class PatternTraffic final : public TrafficGenerator
   private:
     void scheduleNext(NodeId node);
 
+    /** Hand one packet to the sink at deliveryTick(now). */
+    void emit(NodeId node, NodeId dst);
+
     const topo::KAryNCube &topo_;
     Pattern pattern_;
     double rate_;  ///< packets per node per router cycle

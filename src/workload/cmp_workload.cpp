@@ -122,11 +122,27 @@ CmpWorkload::issueTransaction(NodeId node)
 {
     auto &core = cores_[static_cast<std::size_t>(node)];
     const std::uint64_t tag = nextTag_++;
-    const NodeId home = homeFor(node);
-    transactions_.emplace(tag, Transaction{node, kernel_->now()});
+    const Tick now = kernel_->now();
+    transactions_.emplace(tag, Transaction{node, now, homeFor(node)});
     ++core.outstanding;
     ++stats_.transactionsIssued;
-    sink_(traffic::PacketRequest{node, home, params_.requestFlits,
+    // A demand arrival can fall on a router clock edge, and an issue
+    // from the backlog always does (deliveries run inside the network's
+    // step); the request then leaves one tick later.
+    if (traffic::deliveryTick(now) == now)
+        sendRequest(tag);
+    else
+        kernel_->at(traffic::deliveryTick(now),
+                    [this, tag] { sendRequest(tag); });
+}
+
+void
+CmpWorkload::sendRequest(std::uint64_t tag)
+{
+    const auto it = transactions_.find(tag);
+    DVSNET_ASSERT(it != transactions_.end(), "request for dead transaction");
+    sink_(traffic::PacketRequest{it->second.core, it->second.home,
+                                 params_.requestFlits,
                                  CmpParams::kRequestClass, tag});
 }
 
@@ -136,28 +152,30 @@ CmpWorkload::onDelivered(const traffic::PacketRequest &request,
 {
     if (request.trafficClass == CmpParams::kRequestClass) {
         // Request reached its home node: serve it, then send the data
-        // reply back.  The tag identifies the transaction; src/dst are
-        // recoverable from the request itself, so the deferred event
-        // only needs [this, tag] (InlineFn-sized capture).
+        // reply back.  The tag identifies the transaction, which holds
+        // both endpoints, so the deferred event only needs [this, tag]
+        // (InlineFn-sized capture).  Delivery runs at a clock edge, so
+        // the reply is handed over at deliveryTick, one tick past the
+        // edge the home latency ends on.
         ++stats_.requestsDelivered;
         const std::uint64_t tag = request.tag;
         auto it = transactions_.find(tag);
         DVSNET_ASSERT(it != transactions_.end(),
                       "request delivered for unknown transaction");
-        const NodeId home = request.dst;
-        DVSNET_ASSERT(home >= 0 && home < topo_.numNodes(), "bad home");
-        kernel_->after(cyclesToTicks(params_.homeLatencyCycles),
-                       [this, tag] {
-                           const auto t = transactions_.find(tag);
-                           DVSNET_ASSERT(t != transactions_.end(),
-                                         "reply for dead transaction");
-                           const NodeId core = t->second.core;
-                           ++stats_.repliesInjected;
-                           sink_(traffic::PacketRequest{
-                               t->second.home, core, params_.replyFlits,
-                               CmpParams::kReplyClass, tag});
-                       });
-        it->second.home = home;
+        DVSNET_ASSERT(it->second.home == request.dst, "bad home");
+        kernel_->at(traffic::deliveryTick(
+                        kernel_->now() +
+                        cyclesToTicks(params_.homeLatencyCycles)),
+                    [this, tag] {
+                        const auto t = transactions_.find(tag);
+                        DVSNET_ASSERT(t != transactions_.end(),
+                                      "reply for dead transaction");
+                        const NodeId core = t->second.core;
+                        ++stats_.repliesInjected;
+                        sink_(traffic::PacketRequest{
+                            t->second.home, core, params_.replyFlits,
+                            CmpParams::kReplyClass, tag});
+                    });
         return;
     }
 

@@ -146,11 +146,14 @@ class CmpWorkload final : public traffic::TrafficGenerator
     {
         NodeId core = kInvalidId;
         Tick issued = 0;
-        NodeId home = kInvalidId;  ///< set when the request is delivered
+        NodeId home = kInvalidId;
     };
 
     void scheduleDemand(NodeId node);
     void issueTransaction(NodeId node);
+
+    /** Hand transaction `tag`'s request packet to the sink now. */
+    void sendRequest(std::uint64_t tag);
 
     const topo::KAryNCube &topo_;
     CmpParams params_;

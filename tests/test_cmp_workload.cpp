@@ -184,7 +184,8 @@ TEST(CmpWorkload, ClosedLoopRunRespectsWindowAndCausality)
 /**
  * Frozen golden master for one 4x4 CMP point, history-DVS vs no-DVS.
  * Same structure as test_golden_run.cpp: exact integer pins, 1e-9
- * relative pins on derived metrics.
+ * relative pins on derived metrics.  Every request and reply reaches
+ * the network at traffic::deliveryTick, never on a router clock edge.
  */
 namespace
 {
@@ -223,12 +224,12 @@ TEST(CmpGoldenRun, HistoryDvs4x4PinnedResults)
     EXPECT_EQ(r.measuredCycles, 12000u);
     // Closed loop: a window's worth of transactions is still in flight
     // when measurement ends, so delivered < created.
-    EXPECT_EQ(r.packetsCreated, 5496u);
-    EXPECT_EQ(r.packetsDelivered, 5477u);
-    EXPECT_EQ(r.flitsEjected, 16513u);
-    expectNearRel(r.offeredLoadPktsPerCycle, 0.45800000000000002,
+    EXPECT_EQ(r.packetsCreated, 4791u);
+    EXPECT_EQ(r.packetsDelivered, 4772u);
+    EXPECT_EQ(r.flitsEjected, 14394u);
+    expectNearRel(r.offeredLoadPktsPerCycle, 0.39924999999999999,
                   "offered load");
-    expectNearRel(r.avgLatencyCycles, 59.187830564177567, "avg latency");
+    expectNearRel(r.avgLatencyCycles, 60.609369865884396, "avg latency");
     expectNearRel(r.normalizedPower, 0.60108860743785664,
                   "normalized power");
     expectNearRel(r.avgChannelLevel, 2.0, "avg channel level");
@@ -244,11 +245,12 @@ TEST(CmpGoldenRun, NoDvs4x4PinnedReferencePoint)
         cmpGoldenSpec(PolicyKind::None), kCmpRate, kCmpGoldenSeed);
 
     EXPECT_EQ(r.measuredCycles, 12000u);
-    EXPECT_EQ(r.packetsCreated, 4881u);
-    EXPECT_EQ(r.packetsDelivered, 4859u);
-    EXPECT_EQ(r.flitsEjected, 14663u);
-    expectNearRel(r.offeredLoadPktsPerCycle, 0.40675, "offered load");
-    expectNearRel(r.avgLatencyCycles, 56.777476435480658, "avg latency");
+    EXPECT_EQ(r.packetsCreated, 6277u);
+    EXPECT_EQ(r.packetsDelivered, 6255u);
+    EXPECT_EQ(r.flitsEjected, 18806u);
+    expectNearRel(r.offeredLoadPktsPerCycle, 0.52308333333333334,
+                  "offered load");
+    expectNearRel(r.avgLatencyCycles, 57.462992965627457, "avg latency");
     expectNearRel(r.normalizedPower, 1.0, "normalized power");
     expectNearRel(r.avgChannelLevel, 0.0, "avg channel level");
     EXPECT_EQ(r.transitionEnergyJ, 0.0);

@@ -13,6 +13,7 @@
 #include "common/rng.hpp"
 #include "sim/kernel.hpp"
 #include "traffic/pareto_onoff.hpp"
+#include "traffic/traffic.hpp"
 
 using dvsnet::Cycle;
 using dvsnet::Rng;
@@ -190,8 +191,8 @@ TEST(OnOffBank, EmissionsAvoidRouterClockEdges)
     kernel.run(cyclesToTicks(50000));
     EXPECT_GT(bank.emitted(), 10000u);
     EXPECT_EQ(onEdge, 0u);
-    EXPECT_EQ(OnOffSourceBank::deliveryTick(5000), 5001u);
-    EXPECT_EQ(OnOffSourceBank::deliveryTick(5001), 5001u);
+    EXPECT_EQ(dvsnet::traffic::deliveryTick(5000), 5001u);
+    EXPECT_EQ(dvsnet::traffic::deliveryTick(5001), 5001u);
 }
 
 TEST(OnOffBank, CyclesToGapRoundsAndSaturates)

@@ -27,6 +27,7 @@
 #include "common/rng.hpp"
 #include "sim/kernel.hpp"
 #include "traffic/pareto_onoff.hpp"
+#include "traffic/traffic.hpp"
 
 using dvsnet::Cycle;
 using dvsnet::Rng;
@@ -114,7 +115,7 @@ class ReferenceBank
     emit(std::int32_t s)
     {
         log_[static_cast<std::size_t>(s)].push_back(
-            OnOffSourceBank::deliveryTick(kernel_.now()));
+            dvsnet::traffic::deliveryTick(kernel_.now()));
         const Tick next = gap(source(s).exponential(meanGap_));
         if (kernel_.now() + next < onUntil_[static_cast<std::size_t>(s)])
             kernel_.after(next, [this, s] { emit(s); });
