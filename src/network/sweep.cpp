@@ -81,29 +81,32 @@ measureZeroLoadLatency(const ExperimentSpec &spec)
     return res.avgLatencyCycles;
 }
 
-double
-saturationThroughput(const std::vector<SweepPoint> &series,
-                     double zeroLoadLatency)
+namespace
+{
+
+/** Index of the first point past 2x the zero-load latency, or the
+ *  last index if none is. */
+std::size_t
+saturationIndex(const std::vector<SweepPoint> &series,
+                double zeroLoadLatency)
 {
     DVSNET_ASSERT(!series.empty(), "empty sweep");
     const double limit = 2.0 * zeroLoadLatency;
     for (std::size_t i = 0; i < series.size(); ++i) {
-        if (series[i].results.avgLatencyCycles > limit) {
-            if (i == 0)
-                return series[0].results.throughputPktsPerCycle;
-            // Interpolate throughput between the bracketing points on
-            // the latency axis.
-            const auto &lo = series[i - 1].results;
-            const auto &hi = series[i].results;
-            const double t =
-                (limit - lo.avgLatencyCycles) /
-                (hi.avgLatencyCycles - lo.avgLatencyCycles);
-            return lo.throughputPktsPerCycle +
-                   t * (hi.throughputPktsPerCycle -
-                        lo.throughputPktsPerCycle);
-        }
+        if (series[i].results.avgLatencyCycles > limit)
+            return i;
     }
-    return series.back().results.throughputPktsPerCycle;
+    return series.size() - 1;
+}
+
+} // namespace
+
+double
+saturationThroughput(const std::vector<SweepPoint> &series,
+                     double zeroLoadLatency)
+{
+    return series[saturationIndex(series, zeroLoadLatency)]
+        .results.throughputPktsPerCycle;
 }
 
 DvsComparison
@@ -119,8 +122,9 @@ compareDvs(const std::vector<SweepPoint> &baseline,
     cmp.zeroLoadDvs = zeroLoadDvs;
     cmp.zeroLoadIncreasePct =
         (zeroLoadDvs / zeroLoadBase - 1.0) * 100.0;
-    cmp.saturationBase = saturationThroughput(baseline, zeroLoadBase);
-    cmp.saturationDvs = saturationThroughput(dvs, zeroLoadDvs);
+    const std::size_t sat = saturationIndex(baseline, zeroLoadBase);
+    cmp.saturationBase = baseline[sat].results.throughputPktsPerCycle;
+    cmp.saturationDvs = dvs[sat].results.throughputPktsPerCycle;
     cmp.throughputLossPct =
         (1.0 - cmp.saturationDvs / cmp.saturationBase) * 100.0;
     cmp.topRateThroughputLossPct =

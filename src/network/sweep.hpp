@@ -73,9 +73,12 @@ double measureZeroLoadLatency(const ExperimentSpec &spec);
 
 /**
  * Saturation throughput from a sweep: delivered throughput at the first
- * point whose latency exceeds 2x the zero-load latency (interpolated
- * between brackets); returns the last point's throughput if the sweep
- * never saturates.
+ * point whose latency exceeds 2x the zero-load latency (the paper's
+ * rule), or at the last point if the sweep never saturates.  There is
+ * no interpolation across the crossing: a saturated point's latency
+ * grows with the measurement window, so it is only compared against
+ * the limit, while its delivered throughput is what the network
+ * carries once saturated.
  */
 double saturationThroughput(const std::vector<SweepPoint> &series,
                             double zeroLoadLatency);
@@ -91,8 +94,15 @@ struct DvsComparison
      *  below its saturation ("average latency before congestion"). */
     double preSatLatencyIncreasePct = 0.0;
 
-    double saturationBase = 0.0;   ///< packets/cycle, paper's 2x rule
-    double saturationDvs = 0.0;    ///< same rule on the DVS curve
+    /** Baseline saturation throughput (packets/cycle, paper's 2x
+     *  rule on the baseline curve; see saturationThroughput). */
+    double saturationBase = 0.0;
+
+    /** DVS delivered throughput at that same sweep point.  Compared at
+     *  one point, the pair measures throughput DVS gives up, not where
+     *  its own latency offset (slow links at light load raise its
+     *  zero-load latency) happens to cross its 2x limit. */
+    double saturationDvs = 0.0;
     double throughputLossPct = 0.0;  ///< from the saturation pair
 
     /** Delivered-throughput loss at the top swept rate — robust when

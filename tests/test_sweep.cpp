@@ -61,14 +61,16 @@ TEST(RateGrid, EvenlySpacedInclusive)
     EXPECT_DOUBLE_EQ(rates[3], 2.0);
 }
 
-TEST(Saturation, FindsCrossingByInterpolation)
+TEST(Saturation, ReportsFirstPointPastLimit)
 {
-    // Zero-load 50 -> limit 100; crossing between the 2nd and 3rd point.
+    // Zero-load 50 -> limit 100; the 3rd point is the first past it.
+    // Its delivered throughput is reported as measured: nothing is
+    // interpolated across its latency.
     std::vector<SweepPoint> series{point(0.5, 60, 0.5), point(1.0, 80, 1.0),
                                    point(1.5, 160, 1.2)};
-    const double sat = saturationThroughput(series, 50.0);
-    // t = (100-80)/(160-80) = 0.25 -> 1.0 + 0.25*(1.2-1.0) = 1.05.
-    EXPECT_NEAR(sat, 1.05, 1e-9);
+    EXPECT_DOUBLE_EQ(saturationThroughput(series, 50.0), 1.2);
+    series[2].results.avgLatencyCycles = 4000;
+    EXPECT_DOUBLE_EQ(saturationThroughput(series, 50.0), 1.2);
 }
 
 TEST(Saturation, NeverSaturatedReturnsLastThroughput)
@@ -104,10 +106,10 @@ TEST(Saturation, SinglePointSeries)
     EXPECT_DOUBLE_EQ(saturationThroughput(hot, 50.0), 0.3);
 }
 
-TEST(Saturation, BracketInterpolationIsLocal)
+TEST(Saturation, LaterPointsDoNotMatter)
 {
-    // Only the bracketing pair matters: moving later points must not
-    // change the interpolated crossing.
+    // Only the first point past the limit matters: moving later points
+    // must not change the result.
     std::vector<SweepPoint> series{point(0.5, 60, 0.5),
                                    point(1.0, 80, 1.0),
                                    point(1.5, 160, 1.2),
@@ -116,7 +118,7 @@ TEST(Saturation, BracketInterpolationIsLocal)
     tailChanged[3] = point(2.0, 300, 1.4);
     EXPECT_DOUBLE_EQ(saturationThroughput(series, 50.0),
                      saturationThroughput(tailChanged, 50.0));
-    EXPECT_NEAR(saturationThroughput(series, 50.0), 1.05, 1e-9);
+    EXPECT_DOUBLE_EQ(saturationThroughput(series, 50.0), 1.2);
 }
 
 TEST(CompareDvs, SummaryMath)
@@ -132,7 +134,38 @@ TEST(CompareDvs, SummaryMath)
                 ((66.0 / 60 + 84.0 / 70) / 2 - 1) * 100, 1e-9);
     EXPECT_NEAR(cmp.avgSavings, 2.0, 1e-9);
     EXPECT_NEAR(cmp.maxSavings, 2.0, 1e-9);
-    EXPECT_GT(cmp.saturationBase, 0.0);
+    // Both compared at the baseline's saturation point, the third.
+    EXPECT_DOUBLE_EQ(cmp.saturationBase, 1.1);
+    EXPECT_DOUBLE_EQ(cmp.saturationDvs, 1.05);
+    EXPECT_NEAR(cmp.throughputLossPct, (1 - 1.05 / 1.1) * 100, 1e-9);
+}
+
+TEST(CompareDvs, ThroughputLossIgnoresSaturatedLatencies)
+{
+    // Three-point sweeps shaped like a DVSNET_POINTS=3 Fig. 10 run:
+    // identical delivered throughputs, while the saturated top point's
+    // latency (the noisiest number in a run) and the DVS curve's middle
+    // latency, which sits near its own 2x limit, vary.  The reduction
+    // must follow the delivered throughputs only.
+    const double thrBase[] = {0.207, 1.464, 2.807};
+    const double thrDvs[] = {0.207, 1.465, 2.805};
+    const double perPointTopLoss = (1 - 2.805 / 2.807) * 100;
+    for (const double topBase : {130.0, 1168.0, 5000.0}) {
+        for (const double topDvs : {260.0, 2924.0, 9000.0}) {
+            for (const double midDvs : {200.0, 219.0, 240.0}) {
+                const std::vector<SweepPoint> base{
+                    point(0.2, 63, thrBase[0]), point(1.3, 78, thrBase[1]),
+                    point(2.4, topBase, thrBase[2])};
+                const std::vector<SweepPoint> dvs{
+                    point(0.2, 182, thrDvs[0]), point(1.3, midDvs, thrDvs[1]),
+                    point(2.4, topDvs, thrDvs[2])};
+                const DvsComparison cmp = compareDvs(base, dvs, 62.7, 110.0);
+                EXPECT_NEAR(cmp.throughputLossPct, perPointTopLoss, 0.5)
+                    << "top latencies " << topBase << "/" << topDvs
+                    << ", DVS middle latency " << midDvs;
+            }
+        }
+    }
 }
 
 TEST(SweepEndToEnd, RunPointProducesTraffic)
