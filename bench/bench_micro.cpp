@@ -89,20 +89,34 @@ void
 BM_RoundRobinArbiter(benchmark::State &state)
 {
     router::RoundRobinArbiter arb(8);
-    std::vector<bool> reqs(8, true);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(arb.arbitrate(reqs));
+    std::uint64_t reqs = 0xff;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(reqs);
+        benchmark::DoNotOptimize(arb.arbitrateMask(reqs));
+    }
 }
 BENCHMARK(BM_RoundRobinArbiter);
 
+/** 5-port, 2-VC crossbar, one requesting VC per input port, two inputs
+ *  contending for output 1 — in the router's mask form. */
 void
 BM_SwitchAllocator(benchmark::State &state)
 {
     router::SeparableSwitchAllocator sa(5, 2);
-    const std::vector<router::SwitchRequest> reqs{
-        {0, 0, 1}, {1, 1, 2}, {2, 0, 1}, {3, 1, 4}, {4, 0, 0}};
+    // Input port p requests on VC vcOf[p] for output outOf[p].
+    constexpr VcId vcOf[] = {0, 1, 0, 1, 0};
+    constexpr PortId outOf[] = {1, 2, 1, 4, 0};
+    std::vector<std::uint32_t> vcReqMasks(5);
+    std::vector<PortId> outPorts(5 * 2, kInvalidId);
+    router::PortSet reqPorts;
+    for (PortId p = 0; p < 5; ++p) {
+        vcReqMasks[static_cast<std::size_t>(p)] = 1u << vcOf[p];
+        outPorts[static_cast<std::size_t>(p * 2 + vcOf[p])] = outOf[p];
+        reqPorts.set(p);
+    }
     for (auto _ : state)
-        benchmark::DoNotOptimize(sa.allocate(reqs));
+        benchmark::DoNotOptimize(
+            sa.allocateMasks(vcReqMasks, outPorts, reqPorts));
 }
 BENCHMARK(BM_SwitchAllocator);
 
@@ -178,23 +192,18 @@ BENCHMARK(BM_NetworkCyclesPerSecond)
     ->Unit(benchmark::kMillisecond);
 
 /**
- * Timed event-queue pass: steady-state schedule+execute at depth 1024
- * on a wheel of the given geometry.  Reports events/sec and ns/event —
- * the simulator's hottest loop.  Best-of-3: the pass is short enough
- * that scheduler preemption on a shared machine dominates single-run
- * variance; the fastest repetition is the least-perturbed estimate of
- * the code's actual cost.  The default-geometry point keeps its
- * historical name "event_queue_schedule_execute"; the wheel-geometry
- * sweep entries are named event_queue_wheel_s<shift>_b<buckets>.
+ * Timed event-queue pass: steady-state schedule+execute at depth 1024.
+ * Reports events/sec and ns/event — the simulator's hottest loop.
+ * Best-of-3: the pass is short enough that scheduler preemption on a
+ * shared machine dominates single-run variance; the fastest repetition
+ * is the least-perturbed estimate of the code's actual cost.
  */
 Json
-measureEventQueue(std::uint64_t events,
-                  const char *name = "event_queue_schedule_execute",
-                  sim::EventQueueConfig wheel = {})
+measureEventQueue(std::uint64_t events)
 {
     double secs = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
-        sim::EventQueue q(wheel);
+        sim::EventQueue q;
         Tick t = 0;
         for (std::size_t i = 0; i < 1024; ++i)
             q.schedule(++t, [] {});
@@ -213,11 +222,8 @@ measureEventQueue(std::uint64_t events,
 
     Json j = Json::object();
     j["type"] = Json("micro");
-    j["name"] = Json(name);
+    j["name"] = Json("event_queue_schedule_execute");
     j["events"] = Json(events);
-    j["bucket_shift"] = Json(static_cast<std::int64_t>(wheel.bucketShift));
-    j["num_buckets"] =
-        Json(static_cast<std::uint64_t>(wheel.numBuckets));
     j["wall_seconds"] = Json(secs);
     j["events_per_sec"] = Json(static_cast<double>(events) / secs);
     j["ns_per_event"] = Json(secs * 1e9 / static_cast<double>(events));
@@ -352,25 +358,6 @@ writeArtifact(const std::string &path, std::uint64_t seed,
                 eq.find("ns_per_event")->asDouble());
     results.push(std::move(eq));
 
-    // Time-wheel geometry sweep (bucket width x bucket count): the data
-    // behind the recommended EventQueueConfig defaults in
-    // EXPERIMENTS.md.  Every geometry is semantics-preserving (the
-    // event-queue test suite pins that), so this is purely a perf map.
-    for (const int shift : {4, 6, 8, 10}) {
-        for (const std::size_t buckets : {std::size_t{1024},
-                                          std::size_t{4096}}) {
-            char wheelName[64];
-            std::snprintf(wheelName, sizeof wheelName,
-                          "event_queue_wheel_s%d_b%zu", shift, buckets);
-            Json w = measureEventQueue(eqEvents, wheelName,
-                                      {shift, buckets});
-            std::printf("  %s: %.3g events/sec (%.1f ns/event)\n",
-                        wheelName,
-                        w.find("events_per_sec")->asDouble(),
-                        w.find("ns_per_event")->asDouble());
-            results.push(std::move(w));
-        }
-    }
     const Cycle nwWarmup = quick ? 500 : 2000;
     const Cycle nwMeasure = quick ? 2000 : 20000;
     struct NetPoint

@@ -27,25 +27,6 @@ SeparableVcAllocator::SeparableVcAllocator(PortId numPorts,
                       static_cast<std::size_t>(numVcs));
     for (std::int32_t i = 0; i < numPorts * numVcs; ++i)
         arbiters_.emplace_back(numRequesters);
-    freeMasks_.assign(static_cast<std::size_t>(numPorts), 0);
-}
-
-const std::vector<VcGrant> &
-SeparableVcAllocator::allocate(
-    const std::vector<VcRequest> &requests,
-    const std::function<bool(PortId, VcId)> &vcFree)
-{
-    // Predicate shim: materialize the free map once, then take the
-    // mask-based hot path.
-    for (PortId port = 0; port < numPorts_; ++port) {
-        std::uint32_t mask = 0;
-        for (VcId vc = 0; vc < numVcs_; ++vc) {
-            if (vcFree(port, vc))
-                mask |= 1u << vc;
-        }
-        freeMasks_[static_cast<std::size_t>(port)] = mask;
-    }
-    return allocate(requests, freeMasks_);
 }
 
 const std::vector<VcGrant> &
@@ -108,7 +89,7 @@ SeparableVcAllocator::allocate(
 
 SeparableSwitchAllocator::SeparableSwitchAllocator(PortId numPorts,
                                                    std::int32_t numVcs)
-    : numPorts_(numPorts), numVcs_(numVcs)
+    : numVcs_(numVcs)
 {
     DVSNET_ASSERT(numPorts > 0 && numVcs > 0,
                   "invalid switch allocator geometry");
@@ -123,43 +104,7 @@ SeparableSwitchAllocator::SeparableSwitchAllocator(PortId numPorts,
         outputStage_.emplace_back(numPorts);
     }
     stageOne_.assign(static_cast<std::size_t>(numPorts), -1);
-    vcReqMasks_.assign(static_cast<std::size_t>(numPorts), 0);
     outContenders_.assign(static_cast<std::size_t>(numPorts), PortSet{});
-    outPortOf_.assign(static_cast<std::size_t>(numPorts) *
-                          static_cast<std::size_t>(numVcs),
-                      kInvalidId);
-}
-
-const std::vector<SwitchGrant> &
-SeparableSwitchAllocator::allocate(
-    const std::vector<SwitchRequest> &requests)
-{
-    grants_.clear();
-    if (requests.empty())
-        return grants_;
-
-    // Compatibility shim over the mask path: one pass over the requests
-    // builds the per-port VC masks and the output port per (port, vc) —
-    // the first request for a (port, vc) wins, matching the winner the
-    // original inner scans would find.
-    PortSet reqPorts;
-    for (const auto &req : requests) {
-        DVSNET_ASSERT(req.inVc >= 0 && req.inVc < numVcs_,
-                      "inVc out of range");
-        const std::uint32_t bit = 1u << req.inVc;
-        auto &mask = vcReqMasks_[static_cast<std::size_t>(req.inPort)];
-        if (!reqPorts.test(req.inPort)) {
-            reqPorts.set(req.inPort);
-            mask = 0;  // first touch this call: clear stale bits
-        }
-        if ((mask & bit) == 0) {
-            mask |= bit;
-            outPortOf_[static_cast<std::size_t>(req.inPort) *
-                           static_cast<std::size_t>(numVcs_) +
-                       static_cast<std::size_t>(req.inVc)] = req.outPort;
-        }
-    }
-    return allocateMasks(vcReqMasks_, outPortOf_, reqPorts);
 }
 
 const std::vector<SwitchGrant> &

@@ -259,7 +259,7 @@ class Router
     // Fused drain/SA scratch: drainFlitsAndBid fills the per-port VC
     // request masks and per-VC target ports in the same pass that
     // drains the inboxes; applySwitchGrants feeds them straight to the
-    // allocator's mask overload.  Entries outside saReqPorts_ are stale
+    // allocator's allocateMasks.  Entries outside saReqPorts_ are stale
     // by design and never read.
     std::vector<std::uint32_t> saReqMasks_;  ///< per input port
     std::vector<PortId> saOutPorts_;         ///< per dense input VC

@@ -19,29 +19,12 @@ packId(std::uint32_t gen, std::uint32_t slot)
 
 } // namespace
 
-EventQueue::EventQueue(const EventQueueConfig &config)
-    : config_(config),
-      bucketShift_(config.bucketShift),
-      numBuckets_(config.numBuckets),
-      bucketWidth_(Tick{1} << config.bucketShift),
-      wheelHorizon_(bucketWidth_ * static_cast<Tick>(config.numBuckets)),
-      bitmapWords_(config.numBuckets / 64),
-      buckets_(config.numBuckets),
-      occupied_(config.numBuckets / 64, 0)
-{
-    DVSNET_ASSERT(config.bucketShift >= 0 && config.bucketShift < 32,
-                  "bucket shift out of range");
-    DVSNET_ASSERT(config.numBuckets >= 64 &&
-                      (config.numBuckets & (config.numBuckets - 1)) == 0,
-                  "bucket count must be a power of two >= 64");
-}
-
 void
 EventQueue::pushKey(const Key &key)
 {
-    if (key.when >= wheelBase_ && key.when - wheelBase_ < wheelHorizon_) {
+    if (key.when >= wheelBase_ && key.when - wheelBase_ < kWheelHorizon) {
         const auto idx = static_cast<std::size_t>(
-            (key.when >> bucketShift_) & (numBuckets_ - 1));
+            (key.when >> kBucketShift) & (kNumBuckets - 1));
         Bucket &b = buckets_[idx];
         if (b.empty())
             occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
@@ -125,11 +108,11 @@ EventQueue::nextOccupied(std::size_t from) const
 {
     std::size_t word = from >> 6;
     std::uint64_t bits = occupied_[word] & (~std::uint64_t{0} << (from & 63));
-    for (std::size_t i = 0; i <= bitmapWords_; ++i) {
+    for (std::size_t i = 0; i <= kBitmapWords; ++i) {
         if (bits != 0)
             return (word << 6) + static_cast<std::size_t>(
                                      std::countr_zero(bits));
-        word = (word + 1) & (bitmapWords_ - 1);
+        word = (word + 1) & (kBitmapWords - 1);
         bits = occupied_[word];
     }
     DVSNET_FATAL("wheel bitmap empty with wheelKeys_=", wheelKeys_);
@@ -145,8 +128,8 @@ EventQueue::wheelPeek()
             // single circular scan finds the earliest one.
             const std::size_t idx = nextOccupied(cursorIdx_);
             const std::size_t steps =
-                (idx - cursorIdx_ + numBuckets_) & (numBuckets_ - 1);
-            wheelBase_ += static_cast<Tick>(steps) * bucketWidth_;
+                (idx - cursorIdx_ + kNumBuckets) & (kNumBuckets - 1);
+            wheelBase_ += static_cast<Tick>(steps) * kBucketWidth;
             cursorIdx_ = idx;
         }
         Bucket &b = buckets_[cursorIdx_];
@@ -213,10 +196,10 @@ EventQueue::executeNext()
         heap_.pop();
         // With the wheel empty, re-anchor the window at the time just
         // popped so subsequent near-future schedules use the wheel again.
-        if (wheelKeys_ == 0 && key.when >= wheelBase_ + wheelHorizon_) {
-            wheelBase_ = key.when & ~(bucketWidth_ - 1);
+        if (wheelKeys_ == 0 && key.when >= wheelBase_ + kWheelHorizon) {
+            wheelBase_ = key.when & ~(kBucketWidth - 1);
             cursorIdx_ = static_cast<std::size_t>(
-                (key.when >> bucketShift_) & (numBuckets_ - 1));
+                (key.when >> kBucketShift) & (kNumBuckets - 1));
         }
     }
 

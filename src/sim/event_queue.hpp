@@ -10,10 +10,10 @@
  *
  * Performance: this is the hottest structure in the simulator, so it is
  * two-tiered.  Near-horizon events (link deliveries, clock edges,
- * controller windows) go into a bucketed time wheel — a configurable
- * number of fixed-width buckets (see EventQueueConfig), each a small
- * binary min-heap of 24-byte POD keys, with an occupancy bitmap to find
- * the next non-empty bucket.
+ * controller windows) go into a bucketed time wheel — 4096 64-tick
+ * buckets (a router cycle spans ~16), each a small binary min-heap of
+ * 24-byte POD keys, with an occupancy bitmap to find the next non-empty
+ * bucket.
  * Events beyond the wheel horizon (voltage ramps, long off-periods,
  * task lifetimes) overflow into a single binary heap, which is also the
  * always-correct fallback for events behind the wheel cursor.  Callbacks
@@ -28,7 +28,6 @@
 
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <queue>
 #include <vector>
@@ -46,28 +45,18 @@ namespace dvsnet::sim
  */
 using EventFn = InlineFn;
 
-/**
- * Time-wheel geometry.  The defaults (64-tick buckets x 4096 buckets =
- * a 262144-tick window) fit the simulator's event mix: one router cycle
- * spans ~16 buckets, so clock edges, link deliveries and controller
- * windows all land in the wheel while multi-ms DVS ramps overflow to
- * the heap.  Exposed as a runtime knob so tests can sweep coarser and
- * finer wheels (every geometry must preserve FIFO/cancel semantics) and
- * deployments with different event horizons can retune.
- */
-struct EventQueueConfig
-{
-    /** log2 of the bucket width in ticks. */
-    int bucketShift = 6;
-
-    /** Bucket count; a power of two and a multiple of 64. */
-    std::size_t numBuckets = 4096;
-};
-
 /** Two-tier (time wheel + overflow heap) event queue keyed by
  *  (tick, insertion sequence). */
 class EventQueue
 {
+    /** log2 of the bucket width in ticks. */
+    static constexpr int kBucketShift = 6;
+
+    /** Bucket count; a power of two and a multiple of 64. */
+    static constexpr std::size_t kNumBuckets = 4096;
+
+    static constexpr Tick kBucketWidth = Tick{1} << kBucketShift;
+
   public:
     /**
      * Opaque cancellation handle: packs the slot index and a per-slot
@@ -75,8 +64,9 @@ class EventQueue
      */
     using EventId = std::uint64_t;
 
-    EventQueue() : EventQueue(EventQueueConfig{}) {}
-    explicit EventQueue(const EventQueueConfig &config);
+    /** Width of the wheel's near-future window, in ticks. */
+    static constexpr Tick kWheelHorizon =
+        kBucketWidth * static_cast<Tick>(kNumBuckets);
 
     /** Schedule `fn` at absolute tick `when`. Returns a cancel handle. */
     EventId schedule(Tick when, EventFn fn);
@@ -119,13 +109,9 @@ class EventQueue
      */
     std::size_t storageBytes() const;
 
-    /** Width of the wheel's near-future window, in ticks. */
-    Tick wheelHorizon() const { return wheelHorizon_; }
-
-    /** Geometry this queue was built with. */
-    const EventQueueConfig &config() const { return config_; }
-
   private:
+    static constexpr std::size_t kBitmapWords = kNumBuckets / 64;
+
     /** Key capacity a drained bucket keeps; larger buckets free it. */
     static constexpr std::size_t kBucketRetainKeys = 32;
 
@@ -173,17 +159,10 @@ class EventQueue
     /** Return a slot to the free list after its key popped. */
     void recycle(std::uint32_t slot);
 
-    // Wheel geometry, fixed at construction (see EventQueueConfig).
-    EventQueueConfig config_;
-    int bucketShift_;
-    std::size_t numBuckets_;
-    Tick bucketWidth_;
-    Tick wheelHorizon_;
-    std::size_t bitmapWords_;
-
-    std::vector<Bucket> buckets_;
-    std::vector<std::uint64_t> occupied_;
-    Tick wheelBase_ = 0;        ///< window start; multiple of bucketWidth_
+    std::vector<Bucket> buckets_ = std::vector<Bucket>(kNumBuckets);
+    std::vector<std::uint64_t> occupied_ =
+        std::vector<std::uint64_t>(kBitmapWords);
+    Tick wheelBase_ = 0;        ///< window start; multiple of kBucketWidth
     std::size_t cursorIdx_ = 0; ///< bucket index of wheelBase_
     std::size_t wheelKeys_ = 0; ///< pending keys (live + dead) in wheel
 

@@ -22,11 +22,6 @@ class Kernel
   public:
     Kernel() = default;
 
-    /** Build with a non-default event-queue (time wheel) geometry. */
-    explicit Kernel(const EventQueueConfig &queueConfig)
-        : queue_(queueConfig)
-    {}
-
     Kernel(const Kernel &) = delete;
     Kernel &operator=(const Kernel &) = delete;
 

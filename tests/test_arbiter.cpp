@@ -1,28 +1,31 @@
 /**
  * @file
- * Arbiter tests: grant validity, round-robin rotation fairness, matrix
- * (least-recently-served) priority behavior.
+ * Round-robin arbiter tests: grant validity, rotation fairness, and
+ * agreement between the single-word and multi-word mask overloads.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
 #include <vector>
 
+#include "common/bitmask.hpp"
 #include "router/arbiter.hpp"
 
-using dvsnet::router::Arbiter;
-using dvsnet::router::MatrixArbiter;
+using dvsnet::BitMask;
 using dvsnet::router::RoundRobinArbiter;
 
 namespace
 {
 
-std::vector<bool>
-reqs(std::initializer_list<int> setBits, int n)
+std::uint64_t
+reqs(std::initializer_list<int> setBits)
 {
-    std::vector<bool> r(static_cast<std::size_t>(n), false);
+    std::uint64_t r = 0;
     for (int b : setBits)
-        r[static_cast<std::size_t>(b)] = true;
+        r |= std::uint64_t{1} << b;
     return r;
 }
 
@@ -31,33 +34,33 @@ reqs(std::initializer_list<int> setBits, int n)
 TEST(RoundRobinArbiter, NoRequestsNoGrant)
 {
     RoundRobinArbiter arb(4);
-    EXPECT_EQ(arb.arbitrate(reqs({}, 4)), -1);
+    EXPECT_EQ(arb.arbitrateMask(reqs({})), -1);
 }
 
 TEST(RoundRobinArbiter, SingleRequestWins)
 {
     RoundRobinArbiter arb(4);
-    EXPECT_EQ(arb.arbitrate(reqs({2}, 4)), 2);
+    EXPECT_EQ(arb.arbitrateMask(reqs({2})), 2);
 }
 
 TEST(RoundRobinArbiter, GrantIsAlwaysARequester)
 {
     RoundRobinArbiter arb(5);
     for (int round = 0; round < 20; ++round) {
-        const auto r = reqs({round % 5, (round * 3) % 5}, 5);
-        const int g = arb.arbitrate(r);
+        const std::uint64_t r = reqs({round % 5, (round * 3) % 5});
+        const int g = arb.arbitrateMask(r);
         ASSERT_GE(g, 0);
-        EXPECT_TRUE(r[static_cast<std::size_t>(g)]);
+        EXPECT_NE(r & (std::uint64_t{1} << g), 0u);
     }
 }
 
 TEST(RoundRobinArbiter, RotatesAmongContenders)
 {
     RoundRobinArbiter arb(3);
-    const auto all = reqs({0, 1, 2}, 3);
+    const std::uint64_t all = reqs({0, 1, 2});
     std::vector<int> grants;
     for (int i = 0; i < 6; ++i)
-        grants.push_back(arb.arbitrate(all));
+        grants.push_back(arb.arbitrateMask(all));
     // Fair rotation: each requester wins exactly twice in six rounds.
     for (int who = 0; who < 3; ++who)
         EXPECT_EQ(std::count(grants.begin(), grants.end(), who), 2);
@@ -69,68 +72,49 @@ TEST(RoundRobinArbiter, RotatesAmongContenders)
 TEST(RoundRobinArbiter, SkipsNonRequesters)
 {
     RoundRobinArbiter arb(4);
-    EXPECT_EQ(arb.arbitrate(reqs({0}, 4)), 0);
+    EXPECT_EQ(arb.arbitrateMask(reqs({0})), 0);
     // Pointer now at 1; 1 and 2 silent, 3 requesting.
-    EXPECT_EQ(arb.arbitrate(reqs({3}, 4)), 3);
+    EXPECT_EQ(arb.arbitrateMask(reqs({3})), 3);
     // Pointer wraps to 0.
-    EXPECT_EQ(arb.arbitrate(reqs({0, 3}, 4)), 0);
+    EXPECT_EQ(arb.arbitrateMask(reqs({0, 3})), 0);
 }
 
 TEST(RoundRobinArbiter, LongTermFairnessUnderFullLoad)
 {
     RoundRobinArbiter arb(8);
-    const auto all = reqs({0, 1, 2, 3, 4, 5, 6, 7}, 8);
+    const std::uint64_t all = reqs({0, 1, 2, 3, 4, 5, 6, 7});
     std::vector<int> wins(8, 0);
     for (int i = 0; i < 800; ++i)
-        ++wins[static_cast<std::size_t>(arb.arbitrate(all))];
+        ++wins[static_cast<std::size_t>(arb.arbitrateMask(all))];
     for (int w : wins)
         EXPECT_EQ(w, 100);
 }
 
-TEST(MatrixArbiter, NoRequestsNoGrant)
+TEST(RoundRobinArbiter, WordAndMultiWordOverloadsAgree)
 {
-    MatrixArbiter arb(4);
-    EXPECT_EQ(arb.arbitrate(reqs({}, 4)), -1);
-}
-
-TEST(MatrixArbiter, SingleRequestWins)
-{
-    MatrixArbiter arb(4);
-    EXPECT_EQ(arb.arbitrate(reqs({3}, 4)), 3);
-}
-
-TEST(MatrixArbiter, InitialPriorityFavorsLowIndex)
-{
-    MatrixArbiter arb(4);
-    EXPECT_EQ(arb.arbitrate(reqs({1, 2}, 4)), 1);
-}
-
-TEST(MatrixArbiter, WinnerBecomesLowestPriority)
-{
-    MatrixArbiter arb(3);
-    const auto all = reqs({0, 1, 2}, 3);
-    EXPECT_EQ(arb.arbitrate(all), 0);
-    EXPECT_EQ(arb.arbitrate(all), 1);
-    EXPECT_EQ(arb.arbitrate(all), 2);
-    EXPECT_EQ(arb.arbitrate(all), 0);
-}
-
-TEST(MatrixArbiter, LeastRecentlyServedWins)
-{
-    MatrixArbiter arb(3);
-    // 0 wins, then 1 wins; now with {0,1} requesting, 0 is older.
-    arb.arbitrate(reqs({0, 1, 2}, 3));
-    arb.arbitrate(reqs({1}, 3));
-    EXPECT_EQ(arb.arbitrate(reqs({0, 1}, 3)), 0);
-}
-
-TEST(MatrixArbiter, LongTermFairnessUnderFullLoad)
-{
-    MatrixArbiter arb(5);
-    const auto all = reqs({0, 1, 2, 3, 4}, 5);
-    std::vector<int> wins(5, 0);
-    for (int i = 0; i < 500; ++i)
-        ++wins[static_cast<std::size_t>(arb.arbitrate(all))];
-    for (int w : wins)
-        EXPECT_EQ(w, 100);
+    // Two arbiters fed the same request stream, one through the
+    // uint64_t overload and one through a two-word BitMask: winners
+    // match every round, so their rotation state evolves identically.
+    for (const int n : {1, 5, 13, 63, 64}) {
+        SCOPED_TRACE(::testing::Message() << "n=" << n);
+        RoundRobinArbiter word(n);
+        RoundRobinArbiter wide(n);
+        std::mt19937_64 rng(0x5EED + static_cast<unsigned>(n));
+        const std::uint64_t valid =
+            n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+        for (int round = 0; round < 2000; ++round) {
+            // Sparse, dense and empty request sets.
+            std::uint64_t r = rng() & valid;
+            if (round % 3 == 0)
+                r &= rng();
+            if (round % 17 == 0)
+                r = 0;
+            BitMask<128> mask;
+            for (int b = 0; b < n; ++b)
+                if ((r >> b) & 1u)
+                    mask.set(b);
+            ASSERT_EQ(word.arbitrateMask(r), wide.arbitrateMask(mask))
+                << "round=" << round;
+        }
+    }
 }

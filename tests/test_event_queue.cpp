@@ -227,7 +227,7 @@ TEST(EventQueue, ReleasedBucketRefillKeepsOrder)
     // storage is released), then refill the same bucket — once at the
     // same window position and once a full wheel rotation later — with
     // interleaved ticks.  Execution must stay in (tick, insertion) order.
-    const Tick rotation = q.wheelHorizon();
+    const Tick rotation = EventQueue::kWheelHorizon;
     for (Tick base : {Tick{1000}, Tick{1000} + rotation}) {
         // Step the cursor just short of `base`, so the burst lands in
         // the wheel rather than the overflow heap.

@@ -6,14 +6,14 @@
  * Interleaved schedule/cancel/execute sequences must produce identical
  * firing order — including same-tick FIFO — and identical cancel-handle
  * staleness behavior, no matter which internal tier holds each event.
- * The trial matrix crosses wheel geometries (the default 64x4096, a
- * coarse short wheel, a fine short wheel, and a wide-bucket wheel —
- * every geometry must be semantics-neutral; only tier placement may
- * differ) with workload shapes: a mixed shape whose tick gaps span
- * same-tick, intra-bucket, cross-bucket and far-overflow ranges, and a
- * link-clock-heavy shape whose gaps are multiples of the DVS link
- * periods (many channels serializing at the slow levels), which piles
- * events into few distinct ticks and stresses bucket heaps + FIFO.
+ * Two workload shapes, 24 seeds each: a mixed shape whose tick gaps
+ * span same-tick, intra-bucket, cross-bucket, wheel-horizon and
+ * far-overflow ranges (so events migrate between tiers and the wheel
+ * re-anchors), and a link-clock-heavy shape whose gaps are multiples of
+ * the DVS link periods (many channels serializing at the slow levels),
+ * which piles events into few distinct ticks and stresses bucket heaps
+ * + FIFO.  A deterministic test pins the wheel/heap boundary at exactly
+ * the horizon tick.
  */
 
 #include <gtest/gtest.h>
@@ -29,7 +29,6 @@ using dvsnet::Rng;
 using dvsnet::Tick;
 using dvsnet::kTickNever;
 using dvsnet::sim::EventQueue;
-using dvsnet::sim::EventQueueConfig;
 
 namespace
 {
@@ -119,21 +118,16 @@ enum class Workload
 /** Mixed shape: 0 (same-tick FIFO), within one wheel bucket, across
  *  buckets, near the wheel horizon, and far past it. */
 Tick
-drawMixedGap(Rng &rng, Tick horizon)
+drawMixedGap(Rng &rng)
 {
     switch (rng.uniformInt(0, 5)) {
       case 0: return 0;
       case 1: return static_cast<Tick>(rng.uniformInt(1, 63));
       case 2: return static_cast<Tick>(rng.uniformInt(64, 4096));
       case 3: return static_cast<Tick>(rng.uniformInt(4096, 200000));
-      case 4: {  // straddle the wheel/heap boundary
-        // Clamp so tiny horizons (degenerate geometries) never push
-        // the gap negative — schedules must stay monotone.
-        const int jitter = rng.uniformInt(-500, 500);
-        if (jitter < 0 && static_cast<Tick>(-jitter) > horizon)
-            return 0;
-        return horizon + static_cast<Tick>(jitter);
-      }
+      case 4:  // straddle the wheel/heap boundary (modular add)
+        return EventQueue::kWheelHorizon +
+               static_cast<Tick>(rng.uniformInt(-500, 500));
       default:  // deep overflow territory
         return static_cast<Tick>(rng.uniformInt(1, 50)) * 10'000'000;
     }
@@ -155,23 +149,21 @@ drawLinkClockGap(Rng &rng)
 }
 
 Tick
-drawGap(Rng &rng, Workload shape, Tick horizon)
+drawGap(Rng &rng, Workload shape)
 {
-    return shape == Workload::Mixed ? drawMixedGap(rng, horizon)
+    return shape == Workload::Mixed ? drawMixedGap(rng)
                                     : drawLinkClockGap(rng);
 }
 
 void
-runInterleaved(std::uint64_t seed, int ops, const EventQueueConfig &cfg,
-               Workload shape)
+runInterleaved(std::uint64_t seed, int ops, Workload shape)
 {
     SCOPED_TRACE(::testing::Message()
-                 << "seed=" << seed << " bucketShift=" << cfg.bucketShift
-                 << " numBuckets=" << cfg.numBuckets << " workload="
+                 << "seed=" << seed << " workload="
                  << (shape == Workload::Mixed ? "mixed" : "link-clock"));
 
     Rng rng(seed);
-    EventQueue queue(cfg);
+    EventQueue queue;
     ReferenceQueue ref;
 
     // Parallel handle lists: handles_[i] and refHandles_[i] name the
@@ -187,8 +179,7 @@ runInterleaved(std::uint64_t seed, int ops, const EventQueueConfig &cfg,
         const int kind = rng.uniformInt(0, 9);
         if (kind < 5 || queue.empty()) {
             // Schedule (biased: queues need events to do anything).
-            const Tick when =
-                now + drawGap(rng, shape, queue.wheelHorizon());
+            const Tick when = now + drawGap(rng, shape);
             const std::uint64_t payload = nextPayload++;
             handles.push_back(queue.schedule(
                 when, [&gotFired, payload] {
@@ -230,29 +221,38 @@ runInterleaved(std::uint64_t seed, int ops, const EventQueueConfig &cfg,
     EXPECT_TRUE(queue.empty());
 }
 
-/** The geometry matrix every property below runs across. */
-constexpr EventQueueConfig kGeometries[] = {
-    {6, 4096},  // default: 64-tick buckets, 262144-tick horizon
-    {4, 1024},  // fine short wheel: 16-tick buckets, 16384-tick horizon
-    {8, 512},   // wide buckets: 256-tick buckets, 131072-tick horizon
-    {0, 64},    // degenerate: 1-tick buckets, most events overflow
-};
-
 } // namespace
 
-TEST(SchedulerProperty, MatchesReferenceAcrossSeedsAndGeometries)
+TEST(SchedulerProperty, MatchesReferenceAcrossSeeds)
 {
-    for (const EventQueueConfig &cfg : kGeometries)
-        for (std::uint64_t seed = 1; seed <= 6; ++seed)
-            runInterleaved(seed * 7919, 2000, cfg, Workload::Mixed);
+    for (std::uint64_t seed = 1; seed <= 24; ++seed)
+        runInterleaved(seed * 7919, 2000, Workload::Mixed);
 }
 
-TEST(SchedulerProperty, LinkClockHeavyWorkloadAcrossGeometries)
+TEST(SchedulerProperty, LinkClockHeavyWorkloadAcrossSeeds)
 {
-    for (const EventQueueConfig &cfg : kGeometries)
-        for (std::uint64_t seed = 1; seed <= 6; ++seed)
-            runInterleaved(seed * 104729, 2000, cfg,
-                           Workload::LinkClockHeavy);
+    for (std::uint64_t seed = 1; seed <= 24; ++seed)
+        runInterleaved(seed * 104729, 2000, Workload::LinkClockHeavy);
+}
+
+TEST(SchedulerProperty, HorizonTickOverflowsToHeap)
+{
+    // The wheel covers [base, base + kWheelHorizon): the horizon tick
+    // itself maps to the cursor's bucket index, so it must go to the
+    // overflow heap, or it would fire ahead of the later buckets.
+    EventQueue q;  // wheel anchored at tick 0
+    std::vector<Tick> fired;
+    for (const Tick when : {EventQueue::kWheelHorizon,
+                            EventQueue::kWheelHorizon - 1, Tick{1},
+                            Tick{100}})
+        q.schedule(when, [&fired, when] { fired.push_back(when); });
+    EXPECT_EQ(q.overflowPending(), 1u);
+    EXPECT_EQ(q.wheelPending(), 3u);
+    while (!q.empty())
+        q.executeNext();
+    EXPECT_EQ(fired, (std::vector<Tick>{1, 100,
+                                        EventQueue::kWheelHorizon - 1,
+                                        EventQueue::kWheelHorizon}));
 }
 
 TEST(SchedulerProperty, SameTickFifoSurvivesTierMixing)
@@ -260,60 +260,39 @@ TEST(SchedulerProperty, SameTickFifoSurvivesTierMixing)
     // Events at one tick, scheduled while the wheel window is anchored
     // both before and after that tick, must still fire in insertion
     // order.  Force re-anchoring by executing a far-future event
-    // between insertions.  Checked at every wheel geometry.
-    for (const EventQueueConfig &cfg : kGeometries) {
-        SCOPED_TRACE(::testing::Message()
-                     << "bucketShift=" << cfg.bucketShift
-                     << " numBuckets=" << cfg.numBuckets);
-        EventQueue q(cfg);
-        std::vector<int> order;
+    // between insertions.
+    EventQueue q;
+    std::vector<int> order;
 
-        const Tick target = q.wheelHorizon() * 3;
-        q.schedule(target, [&order] { order.push_back(0); });    // heap
-        q.schedule(1, [] {});  // near event anchors the wheel low
-        q.schedule(target, [&order] { order.push_back(1); });    // heap
-        q.executeNext();       // fires tick 1, re-anchors nothing yet
-        q.schedule(target, [&order] { order.push_back(2); });    // wheel?
-        q.executeNext();       // first target event; re-anchors the wheel
-        q.schedule(target, [&order] { order.push_back(3); });    // wheel
-        while (!q.empty())
-            q.executeNext();
+    const Tick target = EventQueue::kWheelHorizon * 3;
+    q.schedule(target, [&order] { order.push_back(0); });    // heap
+    q.schedule(1, [] {});  // near event anchors the wheel low
+    q.schedule(target, [&order] { order.push_back(1); });    // heap
+    q.executeNext();       // fires tick 1, re-anchors nothing yet
+    q.schedule(target, [&order] { order.push_back(2); });    // wheel?
+    q.executeNext();       // first target event; re-anchors the wheel
+    q.schedule(target, [&order] { order.push_back(3); });    // wheel
+    while (!q.empty())
+        q.executeNext();
 
-        EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-    }
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
 TEST(SchedulerProperty, CancelHandlesStayStaleAcrossTiers)
 {
-    for (const EventQueueConfig &cfg : kGeometries) {
-        SCOPED_TRACE(::testing::Message()
-                     << "bucketShift=" << cfg.bucketShift
-                     << " numBuckets=" << cfg.numBuckets);
-        EventQueue q(cfg);
-        bool fired = false;
+    EventQueue q;
+    bool fired = false;
 
-        // One event per tier; cancel the wheel one, fire the heap one.
-        const auto nearId = q.schedule(10, [&fired] { fired = true; });
-        const auto farId = q.schedule(q.wheelHorizon() * 2, [] {});
-        EXPECT_GT(q.wheelPending(), 0u);
-        EXPECT_GT(q.overflowPending(), 0u);
+    // One event per tier; cancel the wheel one, fire the heap one.
+    const auto nearId = q.schedule(10, [&fired] { fired = true; });
+    const auto farId = q.schedule(EventQueue::kWheelHorizon * 2, [] {});
+    EXPECT_GT(q.wheelPending(), 0u);
+    EXPECT_GT(q.overflowPending(), 0u);
 
-        EXPECT_TRUE(q.cancel(nearId));
-        EXPECT_FALSE(q.cancel(nearId));  // second cancel: stale
-        q.executeNext();                 // the far event fires
-        EXPECT_FALSE(fired);
-        EXPECT_FALSE(q.cancel(farId));   // already fired: stale
-        EXPECT_TRUE(q.empty());
-    }
-}
-
-TEST(SchedulerProperty, GeometryIsConfigurableAndReported)
-{
-    EventQueue q(EventQueueConfig{4, 1024});
-    EXPECT_EQ(q.config().bucketShift, 4);
-    EXPECT_EQ(q.config().numBuckets, 1024u);
-    EXPECT_EQ(q.wheelHorizon(), Tick{16} * 1024);
-
-    EventQueue def;
-    EXPECT_EQ(def.wheelHorizon(), Tick{64} * 4096);
+    EXPECT_TRUE(q.cancel(nearId));
+    EXPECT_FALSE(q.cancel(nearId));  // second cancel: stale
+    q.executeNext();                 // the far event fires
+    EXPECT_FALSE(fired);
+    EXPECT_FALSE(q.cancel(farId));   // already fired: stale
+    EXPECT_TRUE(q.empty());
 }

@@ -37,10 +37,10 @@ using dvsnet::VcId;
 using dvsnet::network::ExperimentSpec;
 using dvsnet::network::PolicyKind;
 using dvsnet::network::RunResults;
+using dvsnet::router::PortSet;
 using dvsnet::router::RouterConfig;
 using dvsnet::router::SeparableSwitchAllocator;
 using dvsnet::router::SeparableVcAllocator;
-using dvsnet::router::SwitchRequest;
 using dvsnet::router::VcGrant;
 using dvsnet::router::VcRequest;
 
@@ -118,7 +118,11 @@ class ReferenceVcAllocator
     std::vector<std::int32_t> next_;
 };
 
-/** Reference input-first switch allocator, same naive-loop style. */
+/**
+ * Reference input-first switch allocator, same naive-loop style.  Takes
+ * the inputs SeparableSwitchAllocator::allocateMasks takes and reads
+ * them one (port, vc) bit at a time.
+ */
 class ReferenceSwitchAllocator
 {
   public:
@@ -129,44 +133,27 @@ class ReferenceSwitchAllocator
     {}
 
     std::vector<dvsnet::router::SwitchGrant>
-    allocate(const std::vector<SwitchRequest> &requests)
+    allocate(const std::vector<std::uint32_t> &vcReqMasks,
+             const std::vector<PortId> &outPorts, const PortSet &reqPorts)
     {
+        auto outOf = [&](PortId p, VcId v) {
+            return outPorts[static_cast<std::size_t>(p) *
+                                static_cast<std::size_t>(numVcs_) +
+                            static_cast<std::size_t>(v)];
+        };
+
         // Stage 1: one VC per requesting input port (round-robin over
-        // its requesting VCs); first request per (port, vc) defines the
-        // output port, as in the production shim.
+        // its requesting VCs).  Masks of ports outside reqPorts are
+        // stale and never read.
         std::vector<std::int32_t> stageOne(
             static_cast<std::size_t>(numPorts_), -1);
-        std::vector<PortId> outOf(
-            static_cast<std::size_t>(numPorts_) *
-                static_cast<std::size_t>(numVcs_),
-            dvsnet::kInvalidId);
-        std::vector<std::vector<bool>> vcReq(
-            static_cast<std::size_t>(numPorts_),
-            std::vector<bool>(static_cast<std::size_t>(numVcs_), false));
-        for (const auto &req : requests) {
-            auto &cell = outOf[static_cast<std::size_t>(req.inPort) *
-                                   static_cast<std::size_t>(numVcs_) +
-                               static_cast<std::size_t>(req.inVc)];
-            if (!vcReq[static_cast<std::size_t>(req.inPort)]
-                      [static_cast<std::size_t>(req.inVc)]) {
-                vcReq[static_cast<std::size_t>(req.inPort)]
-                     [static_cast<std::size_t>(req.inVc)] = true;
-                cell = req.outPort;
-            }
-        }
         for (PortId p = 0; p < numPorts_; ++p) {
-            bool anyReq = false;
-            for (VcId v = 0; v < numVcs_; ++v)
-                anyReq = anyReq ||
-                         vcReq[static_cast<std::size_t>(p)]
-                              [static_cast<std::size_t>(v)];
-            if (!anyReq)
+            if (!reqPorts.test(p))
                 continue;
             auto &rot = inputNext_[static_cast<std::size_t>(p)];
             for (std::int32_t i = 0; i < numVcs_; ++i) {
                 const std::int32_t v = (rot + i) % numVcs_;
-                if (vcReq[static_cast<std::size_t>(p)]
-                         [static_cast<std::size_t>(v)]) {
+                if ((vcReqMasks[static_cast<std::size_t>(p)] >> v) & 1u) {
                     stageOne[static_cast<std::size_t>(p)] = v;
                     rot = (v + 1) % numVcs_;
                     break;
@@ -183,10 +170,7 @@ class ReferenceSwitchAllocator
             for (PortId p = 0; p < numPorts_; ++p) {
                 const std::int32_t v =
                     stageOne[static_cast<std::size_t>(p)];
-                if (v >= 0 &&
-                    outOf[static_cast<std::size_t>(p) *
-                              static_cast<std::size_t>(numVcs_) +
-                          static_cast<std::size_t>(v)] == out) {
+                if (v >= 0 && outOf(p, v) == out) {
                     contend[static_cast<std::size_t>(p)] = true;
                     any = true;
                 }
@@ -285,17 +269,36 @@ TEST(WideGeometrySwitchAllocator, MatchesReferenceAtWideVcCounts)
     std::mt19937 rng(0xD4);
     std::uniform_int_distribution<PortId> portDist(0, numPorts - 1);
     std::uniform_int_distribution<VcId> vcDist(0, numVcs - 1);
+    const std::uint32_t allVcs = (1u << numVcs) - 1;
 
+    // Inputs in the router's mask form.  A port that does not request
+    // this round keeps its previous mask: allocateMasks must ignore
+    // stale entries outside reqPorts.
+    std::vector<std::uint32_t> vcReqMasks(
+        static_cast<std::size_t>(numPorts), 0);
+    std::vector<PortId> outPorts(static_cast<std::size_t>(numPorts) *
+                                     static_cast<std::size_t>(numVcs),
+                                 dvsnet::kInvalidId);
     for (std::int32_t round = 0; round < 600; ++round) {
-        std::vector<SwitchRequest> requests;
-        const std::int32_t n =
-            std::uniform_int_distribution<std::int32_t>(0, 20)(rng);
-        for (std::int32_t i = 0; i < n; ++i)
-            requests.push_back({portDist(rng), vcDist(rng),
-                                portDist(rng)});
+        PortSet reqPorts;
+        for (PortId p = 0; p < numPorts; ++p) {
+            if ((rng() & 1u) != 0)
+                continue;
+            // ~1/4 of the VCs, plus one so the port has a request.
+            std::uint32_t mask = rng() & allVcs;
+            mask &= rng();
+            mask |= 1u << vcDist(rng);
+            vcReqMasks[static_cast<std::size_t>(p)] = mask;
+            for (VcId v = 0; v < numVcs; ++v) {
+                if ((mask >> v) & 1u)
+                    outPorts[static_cast<std::size_t>(p * numVcs + v)] =
+                        portDist(rng);
+            }
+            reqPorts.set(p);
+        }
 
-        const auto &got = dut.allocate(requests);
-        const auto want = ref.allocate(requests);
+        const auto &got = dut.allocateMasks(vcReqMasks, outPorts, reqPorts);
+        const auto want = ref.allocate(vcReqMasks, outPorts, reqPorts);
         ASSERT_EQ(got.size(), want.size()) << "round=" << round;
         for (std::size_t i = 0; i < want.size(); ++i) {
             EXPECT_EQ(got[i].inPort, want[i].inPort) << "round=" << round;
