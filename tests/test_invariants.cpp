@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <ostream>
+#include <string>
+
 #include "network/network.hpp"
 #include "traffic/pattern_traffic.hpp"
 #include "traffic/task_model.hpp"
@@ -17,7 +21,9 @@ using dvsnet::Cycle;
 using dvsnet::network::Network;
 using dvsnet::network::NetworkConfig;
 using dvsnet::network::PolicyKind;
+using dvsnet::network::policyKindName;
 using dvsnet::network::RoutingKind;
+using dvsnet::network::routingKindName;
 using dvsnet::traffic::Pattern;
 using dvsnet::traffic::PatternTraffic;
 
@@ -36,6 +42,29 @@ struct InvariantCase
 class FlowControlInvariant
     : public ::testing::TestWithParam<InvariantCase>
 {};
+
+/**
+ * Prints a case as a deterministic name, e.g. `r4_mesh_history_dor_0p15`.
+ * gtest's default printer dumps the struct's raw bytes, padding
+ * included, and ctest names each case after that text.
+ */
+void
+PrintTo(const InvariantCase &c, std::ostream *os)
+{
+    char rate[32];
+    std::snprintf(rate, sizeof rate, "%g", c.rate);
+    std::string name = "r" + std::to_string(c.radix) +
+                       (c.torus ? "_torus_" : "_mesh_") +
+                       policyKindName(c.policy) + "_" +
+                       routingKindName(c.routing) + "_" + rate;
+    for (char &ch : name) {
+        if (ch == '.')
+            ch = 'p';
+        else if (ch == '-')
+            ch = '_';
+    }
+    *os << name;
+}
 
 } // namespace
 
