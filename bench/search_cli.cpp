@@ -73,12 +73,12 @@ searchConfigFromOptions(const BenchOptions &opts)
     config.randomCandidates = 12;
 
     const std::string specString = searchSpecString(opts);
-    const auto problems = search::validateSearchSpec(specString);
-    if (!problems.empty())
-        DVSNET_FATAL(joinProblems("invalid search=", problems));
-    config.rungs.clear();
-    search::applySearchSpec(config,
-                            search::SearchSpec::parse(specString));
+    try {
+        search::applySearchSpec(config,
+                                search::SearchSpec::parse(specString));
+    } catch (const ConfigError &e) {
+        DVSNET_FATAL("search=", specString, ": ", e.what());
+    }
 
     config.journalPath = opts.raw.getString("journal", "");
     const std::string resume = opts.raw.getString("resume", "");

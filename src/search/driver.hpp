@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "common/counters.hpp"
+#include "common/spec.hpp"
 #include "network/sweep.hpp"
 #include "search/cache.hpp"
 #include "search/pareto.hpp"
@@ -231,35 +232,21 @@ class SearchDriver
     bool warmed_ = false;
 };
 
-/**
- * Parsed `<name>[:key=val,...]` search-strategy spec — the same grammar
- * as workload::WorkloadSpec / power::LinkPowerSpec, so the CLI composes
- * with the other registries' spec strings.  The only registered strategy
- * is "successive-halving"; its keys size the candidate set and fidelity
- * ladder against a base experiment.
- */
-struct SearchSpec
-{
-    std::string name;
-    std::vector<std::pair<std::string, std::string>> params;
+/** A search-strategy spec: the common/spec.hpp grammar. */
+using SearchSpec = Spec;
 
-    /** @throws ConfigError on a syntactically malformed spec. */
-    static SearchSpec parse(const std::string &text);
+/** Registry of search strategies; the builder folds a spec into a
+ *  SearchConfig.  Only "successive-halving" is registered. */
+using SearchRegistry = SpecRegistry<void(const Spec &, SearchConfig &)>;
 
-    /** Canonical `<name>[:key=val,...]` rendering. */
-    std::string toString() const;
-
-    /** Value for `key`, or nullptr when absent. */
-    const std::string *find(const std::string &key) const;
-};
-
-/** Problems with a raw spec string (unknown name/keys); empty = valid. */
-std::vector<std::string> validateSearchSpec(const std::string &text);
+/** The built-in strategies. */
+const SearchRegistry &searchRegistry();
 
 /**
- * Fold a validated spec into `config`: candidate count, rung ladder
- * (geometric fidelity steps of the base windows), slack fraction and
- * evaluation budget.  @throws ConfigError on invalid values.
+ * Validate `spec` against searchRegistry() and fold it into `config`:
+ * candidate count, rung ladder (geometric fidelity steps of the base
+ * windows), slack fraction and evaluation budget.
+ * @throws ConfigError on an unknown name or key, or an invalid value.
  */
 void applySearchSpec(SearchConfig &config, const SearchSpec &spec);
 

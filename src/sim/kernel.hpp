@@ -3,7 +3,7 @@
  * Simulation kernel: owns the event queue and the global clock (`now`).
  *
  * The kernel is deliberately minimal — components schedule callbacks and
- * read the current time.  Clock-domain arithmetic lives in sim/clock.hpp;
+ * read the current time.  Tick/cycle conversions live in common/types.hpp;
  * the network's synchronous router step is just a self-rescheduling event.
  */
 

@@ -1,10 +1,5 @@
 #include "workload/factory.hpp"
 
-#include <algorithm>
-#include <charconv>
-#include <limits>
-#include <utility>
-
 #include "common/fatal.hpp"
 #include "traffic/pattern_traffic.hpp"
 #include "traffic/trace.hpp"
@@ -17,88 +12,24 @@ namespace dvsnet::workload
 namespace
 {
 
-double
-parseDouble(const std::string &key, const std::string &value)
-{
-    double out = 0.0;
-    const char *end = value.data() + value.size();
-    auto [ptr, ec] = std::from_chars(value.data(), end, out);
-    if (ec != std::errc{} || ptr != end) {
-        throw ConfigError(detail::concat("workload key '", key,
-                                         "': expected a number, got '",
-                                         value, "'"));
-    }
-    return out;
-}
-
-/** Parse an integer key into T, rejecting values T cannot hold. */
-template <typename T>
-T
-parseInt(const std::string &key, const std::string &value)
-{
-    std::int64_t out = 0;
-    const char *end = value.data() + value.size();
-    auto [ptr, ec] = std::from_chars(value.data(), end, out);
-    if (ec == std::errc::invalid_argument || ptr != end) {
-        throw ConfigError(detail::concat("workload key '", key,
-                                         "': expected an integer, got '",
-                                         value, "'"));
-    }
-    if (ec == std::errc::result_out_of_range || !std::in_range<T>(out)) {
-        // The accepted range is T's, capped by the int64 parse.
-        const std::uint64_t hi = std::min<std::uint64_t>(
-            std::numeric_limits<T>::max(),
-            std::numeric_limits<std::int64_t>::max());
-        throw ConfigError(detail::concat(
-            "workload key '", key, "': ", value, " is out of range [",
-            +std::numeric_limits<T>::min(), ", ", hi, "]"));
-    }
-    return static_cast<T>(out);
-}
-
-bool
-parseBool(const std::string &key, const std::string &value)
-{
-    if (value == "true" || value == "1")
-        return true;
-    if (value == "false" || value == "0")
-        return false;
-    throw ConfigError(detail::concat("workload key '", key,
-                                     "': expected true/false, got '",
-                                     value, "'"));
-}
-
-std::string
-joinList(const std::vector<std::string> &items)
-{
-    std::string out;
-    for (const auto &item : items) {
-        if (!out.empty())
-            out += ", ";
-        out += item;
-    }
-    return out;
-}
-
 std::unique_ptr<traffic::TrafficGenerator>
-buildTwoLevel(const WorkloadSpec &spec, const WorkloadContext &ctx)
+buildTwoLevel(const Spec &spec, const WorkloadContext &ctx)
 {
     traffic::TwoLevelParams p = ctx.twoLevel;
     p.networkInjectionRate = ctx.injectionRate;
     p.seed = ctx.seed;
-    if (const auto *v = spec.find("tasks"))
-        p.avgConcurrentTasks = parseDouble("tasks", *v);
-    if (const auto *v = spec.find("locality_radius"))
-        p.localityRadius = parseInt<std::int32_t>("locality_radius", *v);
-    if (const auto *v = spec.find("p_local"))
-        p.pLocal = parseDouble("p_local", *v);
-    if (const auto *v = spec.find("per_packet_dest"))
-        p.perPacketDestination = parseBool("per_packet_dest", *v);
+    spec.read("tasks", p.avgConcurrentTasks);
+    spec.read("locality_radius", p.localityRadius);
+    spec.read("p_local", p.pLocal);
+    spec.read("per_packet_dest", p.perPacketDestination);
     return std::make_unique<traffic::TwoLevelWorkload>(ctx.topo, p);
 }
 
+/** Open-loop pattern baseline; the per-node Poisson rate is chosen so
+ *  the aggregate matches the experiment's injection rate. */
+template <traffic::Pattern pattern>
 std::unique_ptr<traffic::TrafficGenerator>
-buildPattern(traffic::Pattern pattern, const WorkloadContext &ctx)
+buildPattern(const Spec &, const WorkloadContext &ctx)
 {
     const double perNode =
         ctx.injectionRate / static_cast<double>(ctx.topo.numNodes());
@@ -107,12 +38,11 @@ buildPattern(traffic::Pattern pattern, const WorkloadContext &ctx)
 }
 
 std::unique_ptr<traffic::TrafficGenerator>
-buildTrace(const WorkloadSpec &spec, const WorkloadContext &ctx)
+buildTrace(const Spec &spec, const WorkloadContext &ctx)
 {
     const auto *path = spec.find("path");
     if (path == nullptr || path->empty()) {
-        throw ConfigError(
-            "workload 'trace' requires a path key (trace:path=FILE)");
+        throw ConfigError("requires a path key (trace:path=FILE)");
     }
     if (isBinaryTracePath(*path)) {
         // Stream straight from disk; the header's numNodes field (when
@@ -124,253 +54,68 @@ buildTrace(const WorkloadSpec &spec, const WorkloadContext &ctx)
 }
 
 std::unique_ptr<traffic::TrafficGenerator>
-buildCmp(const WorkloadSpec &spec, const WorkloadContext &ctx)
+buildCmp(const Spec &spec, const WorkloadContext &ctx)
 {
     CmpParams p;
     p.packetRate = ctx.injectionRate;
     p.seed = ctx.seed;
-    if (const auto *v = spec.find("window"))
-        p.window = parseInt<std::int32_t>("window", *v);
-    if (const auto *v = spec.find("request_flits"))
-        p.requestFlits = parseInt<std::uint16_t>("request_flits", *v);
-    if (const auto *v = spec.find("reply_flits"))
-        p.replyFlits = parseInt<std::uint16_t>("reply_flits", *v);
-    if (const auto *v = spec.find("home_latency"))
-        p.homeLatencyCycles = parseInt<Cycle>("home_latency", *v);
-    if (const auto *v = spec.find("hot_nodes"))
-        p.hotNodes = parseInt<std::int32_t>("hot_nodes", *v);
-    if (const auto *v = spec.find("p_hot"))
-        p.pHot = parseDouble("p_hot", *v);
+    spec.read("window", p.window);
+    spec.read("request_flits", p.requestFlits);
+    spec.read("reply_flits", p.replyFlits);
+    spec.read("home_latency", p.homeLatencyCycles);
+    spec.read("hot_nodes", p.hotNodes);
+    spec.read("p_hot", p.pHot);
     return std::make_unique<CmpWorkload>(ctx.topo, p);
-}
-
-void
-registerBuiltins(WorkloadFactory &factory)
-{
-    factory.add("two-level",
-                "the paper's two-level self-similar model (Section 4.3)",
-                {"tasks", "locality_radius", "p_local", "per_packet_dest"},
-                buildTwoLevel);
-
-    // Open-loop pattern baselines; per-node Poisson rate chosen so the
-    // aggregate matches the experiment's injection rate.
-    static const struct
-    {
-        const char *name;
-        traffic::Pattern pattern;
-        const char *description;
-    } kPatterns[] = {
-        {"uniform", traffic::Pattern::UniformRandom,
-         "uniform-random destinations, per-node Poisson injection"},
-        {"transpose", traffic::Pattern::Transpose,
-         "(x,y) -> (y,x) permutation"},
-        {"bit-complement", traffic::Pattern::BitComplement,
-         "node -> ~node permutation"},
-        {"bit-reverse", traffic::Pattern::BitReverse,
-         "bit-reversal permutation"},
-        {"shuffle", traffic::Pattern::Shuffle, "perfect-shuffle permutation"},
-        {"tornado", traffic::Pattern::Tornado,
-         "half-way around each dimension"},
-        {"neighbor", traffic::Pattern::Neighbor, "+1 in dimension 0"},
-    };
-    for (const auto &entry : kPatterns) {
-        const traffic::Pattern pattern = entry.pattern;
-        factory.add(entry.name, entry.description, {},
-                    [pattern](const WorkloadSpec &,
-                              const WorkloadContext &ctx) {
-                        return buildPattern(pattern, ctx);
-                    });
-    }
-
-    factory.add("trace",
-                "replay a recorded packet trace (.dvst binary or CSV)",
-                {"path"}, buildTrace);
-
-    factory.add("cmp",
-                "closed-loop CMP request/reply coherence traffic",
-                {"window", "request_flits", "reply_flits", "home_latency",
-                 "hot_nodes", "p_hot"},
-                buildCmp);
 }
 
 } // namespace
 
-WorkloadSpec
-WorkloadSpec::parse(const std::string &text)
+const WorkloadRegistry &
+workloadRegistry()
 {
-    WorkloadSpec spec;
-    const std::size_t colon = text.find(':');
-    spec.name = text.substr(0, colon);
-    if (spec.name.empty())
-        throw ConfigError("workload spec: empty workload name");
-
-    if (colon == std::string::npos)
-        return spec;
-    std::size_t pos = colon + 1;
-    while (pos <= text.size()) {
-        std::size_t comma = text.find(',', pos);
-        if (comma == std::string::npos)
-            comma = text.size();
-        const std::string item = text.substr(pos, comma - pos);
-        const std::size_t eq = item.find('=');
-        if (item.empty() || eq == std::string::npos || eq == 0) {
-            throw ConfigError(detail::concat(
-                "workload spec '", text, "': expected key=value, got '",
-                item, "'"));
-        }
-        spec.params.emplace_back(item.substr(0, eq), item.substr(eq + 1));
-        pos = comma + 1;
-    }
-    return spec;
-}
-
-std::string
-WorkloadSpec::toString() const
-{
-    std::string out = name;
-    for (std::size_t i = 0; i < params.size(); ++i) {
-        out += i == 0 ? ':' : ',';
-        out += params[i].first;
-        out += '=';
-        out += params[i].second;
-    }
-    return out;
-}
-
-const std::string *
-WorkloadSpec::find(const std::string &key) const
-{
-    for (const auto &[k, v] : params) {
-        if (k == key)
-            return &v;
-    }
-    return nullptr;
-}
-
-WorkloadFactory &
-WorkloadFactory::instance()
-{
-    static WorkloadFactory factory = [] {
-        WorkloadFactory f;
-        registerBuiltins(f);
-        return f;
-    }();
-    return factory;
-}
-
-void
-WorkloadFactory::add(const std::string &name,
-                     const std::string &description,
-                     std::vector<std::string> keys, Builder builder)
-{
-    DVSNET_ASSERT(!name.empty() && builder, "bad workload registration");
-    for (auto &entry : entries_) {
-        if (entry.name == name) {
-            entry = Entry{name, description, std::move(keys),
-                          std::move(builder)};
-            return;
-        }
-    }
-    entries_.push_back(
-        Entry{name, description, std::move(keys), std::move(builder)});
-}
-
-bool
-WorkloadFactory::known(const std::string &name) const
-{
-    return lookup(name) != nullptr;
-}
-
-std::vector<std::string>
-WorkloadFactory::names() const
-{
-    std::vector<std::string> out;
-    out.reserve(entries_.size());
-    for (const auto &entry : entries_)
-        out.push_back(entry.name);
-    std::sort(out.begin(), out.end());
-    return out;
-}
-
-std::string
-WorkloadFactory::description(const std::string &name) const
-{
-    const Entry *entry = lookup(name);
-    return entry != nullptr ? entry->description : std::string();
-}
-
-std::vector<std::string>
-WorkloadFactory::keys(const std::string &name) const
-{
-    const Entry *entry = lookup(name);
-    return entry != nullptr ? entry->keys : std::vector<std::string>();
-}
-
-std::vector<std::string>
-WorkloadFactory::validate(const WorkloadSpec &spec) const
-{
-    std::vector<std::string> problems;
-    const Entry *entry = lookup(spec.name);
-    if (entry == nullptr) {
-        problems.push_back(detail::concat(
-            "unknown workload '", spec.name, "' (registered: ",
-            joinList(names()), ")"));
-        return problems;
-    }
-    for (const auto &[key, value] : spec.params) {
-        (void)value;
-        if (std::find(entry->keys.begin(), entry->keys.end(), key) ==
-            entry->keys.end()) {
-            problems.push_back(detail::concat(
-                "workload '", spec.name, "': unknown key '", key, "' (",
-                entry->keys.empty()
-                    ? "takes no keys"
-                    : detail::concat("valid: ", joinList(entry->keys)),
-                ")"));
-        }
-    }
-    return problems;
-}
-
-const WorkloadFactory::Entry *
-WorkloadFactory::lookup(const std::string &name) const
-{
-    for (const auto &entry : entries_) {
-        if (entry.name == name)
-            return &entry;
-    }
-    return nullptr;
-}
-
-std::unique_ptr<traffic::TrafficGenerator>
-WorkloadFactory::build(const WorkloadSpec &spec,
-                       const WorkloadContext &context) const
-{
-    auto problems = validate(spec);
-    if (!problems.empty())
-        throw ConfigError(joinProblems("invalid workload spec", problems));
-    const Entry *entry = lookup(spec.name);
-    auto generator = entry->builder(spec, context);
-    DVSNET_ASSERT(generator != nullptr, "workload builder returned null");
-    return generator;
+    using traffic::Pattern;
+    static const WorkloadRegistry registry(
+        "workload",
+        {
+            {"two-level",
+             "the paper's two-level self-similar model (Section 4.3)",
+             {"tasks", "locality_radius", "p_local", "per_packet_dest"},
+             buildTwoLevel},
+            {"uniform",
+             "uniform-random destinations, per-node Poisson injection", {},
+             buildPattern<Pattern::UniformRandom>},
+            {"transpose", "(x,y) -> (y,x) permutation", {},
+             buildPattern<Pattern::Transpose>},
+            {"bit-complement", "node -> ~node permutation", {},
+             buildPattern<Pattern::BitComplement>},
+            {"bit-reverse", "bit-reversal permutation", {},
+             buildPattern<Pattern::BitReverse>},
+            {"shuffle", "perfect-shuffle permutation", {},
+             buildPattern<Pattern::Shuffle>},
+            {"tornado", "half-way around each dimension", {},
+             buildPattern<Pattern::Tornado>},
+            {"neighbor", "+1 in dimension 0", {},
+             buildPattern<Pattern::Neighbor>},
+            {"trace", "replay a recorded packet trace (.dvst binary or CSV)",
+             {"path"}, buildTrace},
+            {"cmp", "closed-loop CMP request/reply coherence traffic",
+             {"window", "request_flits", "reply_flits", "home_latency",
+              "hot_nodes", "p_hot"},
+             buildCmp},
+        });
+    return registry;
 }
 
 std::vector<std::string>
 validateWorkloadSpec(const std::string &text)
 {
-    try {
-        const WorkloadSpec spec = WorkloadSpec::parse(text);
-        return WorkloadFactory::instance().validate(spec);
-    } catch (const ConfigError &e) {
-        return {e.what()};
-    }
+    return workloadRegistry().validate(text);
 }
 
 std::unique_ptr<traffic::TrafficGenerator>
 buildWorkload(const std::string &text, const WorkloadContext &context)
 {
-    return WorkloadFactory::instance().build(WorkloadSpec::parse(text),
-                                             context);
+    return workloadRegistry().build(Spec::parse(text), context);
 }
 
 } // namespace dvsnet::workload

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <ostream>
+#include <string>
+
 #include "network/network.hpp"
 #include "traffic/pattern_traffic.hpp"
 
@@ -15,6 +19,7 @@ using dvsnet::Cycle;
 using dvsnet::network::Network;
 using dvsnet::network::NetworkConfig;
 using dvsnet::network::PolicyKind;
+using dvsnet::network::policyKindName;
 using dvsnet::network::RunResults;
 using dvsnet::traffic::Pattern;
 using dvsnet::traffic::PatternTraffic;
@@ -29,6 +34,29 @@ struct DeliveryCase
     PolicyKind policy;
     std::uint16_t packetLength;
 };
+
+/**
+ * Prints a case as a deterministic name: seed, policy, rate and packet
+ * length, e.g. `s101_none_r0p01_l5`.  gtest's default printer dumps
+ * the struct's raw bytes, padding included, and ctest names each case
+ * after that text.
+ */
+void
+PrintTo(const DeliveryCase &c, std::ostream *os)
+{
+    char rate[32];
+    std::snprintf(rate, sizeof rate, "%g", c.rate);
+    std::string name = "s" + std::to_string(c.seed) + "_" +
+                       policyKindName(c.policy) + "_r" + rate + "_l" +
+                       std::to_string(c.packetLength);
+    for (char &ch : name) {
+        if (ch == '.')
+            ch = 'p';
+        else if (ch == '-')
+            ch = '_';
+    }
+    *os << name;
+}
 
 class DeliveryProperty : public ::testing::TestWithParam<DeliveryCase>
 {};

@@ -163,3 +163,11 @@ TEST(KernelDeathTest, SchedulingInThePastPanics)
     k.run();
     EXPECT_DEATH(k.at(50, [] {}), "scheduling into the past");
 }
+
+TEST(ClockConversions, SecondsAndCycles)
+{
+    EXPECT_EQ(dvsnet::secondsToTicks(10e-6), Tick{10000000});  // 10 us
+    EXPECT_DOUBLE_EQ(dvsnet::ticksToSeconds(1000000), 1e-6);
+    EXPECT_EQ(dvsnet::cyclesToTicks(200), Tick{200000});
+    EXPECT_EQ(dvsnet::ticksToCycles(200999), 200u);
+}

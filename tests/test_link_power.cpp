@@ -1,9 +1,9 @@
 /**
  * @file
- * Link power backend tests: spec grammar, factory registry/rejection
- * behavior, table-backend bit-identity with the fitted level law,
- * toggle-backend energy math + calibration, payload-hash determinism,
- * and end-to-end network runs under both backends.
+ * Link power backend tests: spec parsing, registry/rejection behavior,
+ * table-backend bit-identity with the fitted level law, toggle-backend
+ * energy math + calibration, payload-hash determinism, and end-to-end
+ * network runs under both backends.
  */
 
 #include <bit>
@@ -20,16 +20,18 @@
 #include "router/flit.hpp"
 
 using dvsnet::ConfigError;
+using dvsnet::Spec;
 using dvsnet::link::DvsLevelTable;
 using dvsnet::power::buildLinkPowerModel;
 using dvsnet::power::flitPayloadWord;
 using dvsnet::power::LinkPowerContext;
-using dvsnet::power::LinkPowerFactory;
 using dvsnet::power::LinkPowerModel;
-using dvsnet::power::LinkPowerSpec;
+using dvsnet::power::LinkPowerRegistry;
+using dvsnet::power::linkPowerRegistry;
 using dvsnet::power::TableLinkPowerModel;
 using dvsnet::power::ToggleLinkPowerModel;
 using dvsnet::power::validateLinkPowerSpec;
+using LinkPowerSpec = Spec;
 
 namespace
 {
@@ -76,18 +78,18 @@ TEST(LinkPowerSpec, RejectsMalformedSpecs)
 
 TEST(LinkPowerFactory, KnowsBuiltins)
 {
-    auto &factory = LinkPowerFactory::instance();
-    EXPECT_TRUE(factory.known("table"));
-    EXPECT_TRUE(factory.known("toggle"));
-    EXPECT_FALSE(factory.known("nonsense"));
-    const auto names = factory.names();
+    const auto &registry = linkPowerRegistry();
+    ASSERT_NE(registry.find("table"), nullptr);
+    ASSERT_NE(registry.find("toggle"), nullptr);
+    EXPECT_EQ(registry.find("nonsense"), nullptr);
+    const auto names = registry.names();
     EXPECT_NE(std::find(names.begin(), names.end(), "table"),
               names.end());
     EXPECT_NE(std::find(names.begin(), names.end(), "toggle"),
               names.end());
-    EXPECT_FALSE(factory.description("toggle").empty());
-    EXPECT_TRUE(factory.keys("table").empty());
-    EXPECT_EQ(factory.keys("toggle").size(), 4u);
+    EXPECT_FALSE(registry.description("toggle").empty());
+    EXPECT_TRUE(registry.find("table")->keys.empty());
+    EXPECT_EQ(registry.find("toggle")->keys.size(), 4u);
 }
 
 TEST(LinkPowerFactory, RejectsUnknownNameListingRegistered)
@@ -132,20 +134,28 @@ TEST(LinkPowerFactory, BuildThrowsOnInvalidSpecOrValues)
     EXPECT_THROW(buildLinkPowerModel("toggle:cw=-1", ctx), ConfigError);
     EXPECT_THROW(buildLinkPowerModel("toggle:idle=abc", ctx),
                  ConfigError);
+    // NaN slips through a plain range check (every comparison is
+    // false), and an infinite capacitance would poison the ledger.
+    for (const char *spec :
+         {"toggle:idle=nan", "toggle:cw=inf", "toggle:cc=nan",
+          "toggle:cw=1e400", "toggle:idle=-nan"}) {
+        EXPECT_THROW(buildLinkPowerModel(spec, ctx), ConfigError) << spec;
+    }
 }
 
 TEST(LinkPowerFactory, CustomRegistration)
 {
-    LinkPowerFactory factory;
-    factory.add("fixed", "constant power", {"w"},
-                [](const LinkPowerSpec &, const LinkPowerContext &ctx) {
-                    return std::make_unique<TableLinkPowerModel>(
-                        ctx.coeffA, ctx.coeffB);
-                });
-    EXPECT_TRUE(factory.known("fixed"));
-    EXPECT_FALSE(factory.known("table"));  // fresh registry, no builtins
+    const LinkPowerRegistry registry(
+        "link-power backend",
+        {{"fixed", "constant power", {"w"},
+          [](const Spec &, const LinkPowerContext &ctx) {
+              return std::make_unique<TableLinkPowerModel>(ctx.coeffA,
+                                                           ctx.coeffB);
+          }}});
+    EXPECT_NE(registry.find("fixed"), nullptr);
+    EXPECT_EQ(registry.find("table"), nullptr);  // no builtins
     const auto model =
-        factory.build(LinkPowerSpec::parse("fixed"), standardContext());
+        registry.build(Spec::parse("fixed"), standardContext());
     ASSERT_NE(model, nullptr);
     EXPECT_STREQ(model->name(), "table");
 }

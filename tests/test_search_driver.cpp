@@ -41,7 +41,7 @@ using dvsnet::search::SearchConfig;
 using dvsnet::search::SearchDriver;
 using dvsnet::search::SearchOutcome;
 using dvsnet::search::SearchSpec;
-using dvsnet::search::validateSearchSpec;
+using dvsnet::search::searchRegistry;
 
 namespace
 {
@@ -213,11 +213,11 @@ TEST(SearchSpec, GrammarRoundTrip)
 
 TEST(SearchSpec, ValidateRejectsUnknownNamesAndKeys)
 {
-    EXPECT_TRUE(validateSearchSpec("successive-halving").empty());
+    EXPECT_TRUE(searchRegistry().validate("successive-halving").empty());
     EXPECT_TRUE(
-        validateSearchSpec("successive-halving:budget=100").empty());
+        searchRegistry().validate("successive-halving:budget=100").empty());
 
-    const auto unknownName = validateSearchSpec("grid");
+    const auto unknownName = searchRegistry().validate("grid");
     ASSERT_EQ(unknownName.size(), 1u);
     EXPECT_NE(unknownName[0].find("unknown search strategy 'grid'"),
               std::string::npos);
@@ -225,7 +225,7 @@ TEST(SearchSpec, ValidateRejectsUnknownNamesAndKeys)
               std::string::npos);
 
     const auto unknownKey =
-        validateSearchSpec("successive-halving:bogus=1");
+        searchRegistry().validate("successive-halving:bogus=1");
     ASSERT_EQ(unknownKey.size(), 1u);
     EXPECT_NE(unknownKey[0].find("unknown key 'bogus'"),
               std::string::npos);
@@ -264,6 +264,22 @@ TEST(SearchSpec, ApplyBuildsGeometricLadder)
                  ConfigError);
     EXPECT_THROW(applySearchSpec(config, SearchSpec::parse("grid")),
                  ConfigError);
+}
+
+TEST(SearchSpec, RejectsNegativeAndPaddedCounts)
+{
+    // A minus sign used to wrap a count to 2^64 - 1 (an unbounded
+    // candidate pool or budget), and only this spec trimmed spaces.
+    for (const char *text :
+         {"successive-halving:candidates=-1", "successive-halving:budget=-1",
+          "successive-halving:rungs=-1", "successive-halving:budget= 7",
+          "successive-halving:rungs=65", "successive-halving:step=nan",
+          "successive-halving:slack=inf"}) {
+        SearchConfig config;
+        EXPECT_THROW(applySearchSpec(config, SearchSpec::parse(text)),
+                     ConfigError)
+            << text;
+    }
 }
 
 TEST(SearchConfigTest, ValidateCatchesNonsense)

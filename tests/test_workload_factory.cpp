@@ -3,7 +3,8 @@
  * Workload registry tests: spec-string parsing, up-front validation
  * (unknown names/keys rejected with the registered alternatives
  * listed), builder behavior, and the ExperimentSpec integration that
- * carries `--workload` strings into experiments.
+ * carries `--workload` strings into experiments.  The grammar's
+ * general cases are tested in test_spec.cpp.
  */
 
 #include <gtest/gtest.h>
@@ -21,8 +22,8 @@ using dvsnet::topo::KAryNCube;
 using dvsnet::workload::buildWorkload;
 using dvsnet::workload::validateWorkloadSpec;
 using dvsnet::workload::WorkloadContext;
-using dvsnet::workload::WorkloadFactory;
-using dvsnet::workload::WorkloadSpec;
+using dvsnet::workload::workloadRegistry;
+using WorkloadSpec = dvsnet::Spec;
 
 namespace
 {
@@ -69,15 +70,15 @@ TEST(WorkloadSpec, RejectsMalformedSpecs)
 
 TEST(WorkloadFactory, BuiltinsAreRegistered)
 {
-    const auto &factory = WorkloadFactory::instance();
+    const auto &registry = workloadRegistry();
     for (const char *name :
          {"two-level", "uniform", "transpose", "bit-complement",
           "bit-reverse", "shuffle", "tornado", "neighbor", "trace",
           "cmp"}) {
-        EXPECT_TRUE(factory.known(name)) << name;
-        EXPECT_FALSE(factory.description(name).empty()) << name;
+        EXPECT_NE(registry.find(name), nullptr) << name;
+        EXPECT_FALSE(registry.description(name).empty()) << name;
     }
-    const auto names = factory.names();
+    const auto names = registry.names();
     EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
 }
 

@@ -5,7 +5,7 @@
  *
  *   trace_tool record out=FILE [workload=SPEC] [radix=N] [torus=0|1]
  *              [cycles=N] [rate=R] [seed=S]
- *       Run the named workload (any workload::WorkloadFactory spec;
+ *       Run the named workload (any workload::workloadRegistry() spec;
  *       default "uniform") on a radix x radix mesh with DVS disabled,
  *       recording every injected packet.  The output format follows
  *       the file extension: ".dvst" = binary, anything else = CSV.
@@ -55,10 +55,10 @@ usage()
         "\n"
         "formats by extension: .dvst = binary, anything else = CSV\n"
         "registered workloads:\n");
-    const auto &factory = workload::WorkloadFactory::instance();
-    for (const auto &name : factory.names()) {
+    const auto &registry = workload::workloadRegistry();
+    for (const auto &name : registry.names()) {
         std::fprintf(stderr, "  %-16s %s\n", name.c_str(),
-                     factory.description(name).c_str());
+                     registry.description(name).c_str());
     }
     return 1;
 }
